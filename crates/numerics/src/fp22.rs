@@ -78,41 +78,70 @@ impl std::fmt::Display for Fp22 {
     }
 }
 
+/// Mask of an `f64`'s 52 explicit fraction bits.
+pub(crate) const F64_FRACTION_MASK: u64 = (1 << 52) - 1;
+
+/// The 11-bit biased exponent field of `x` (0 for zero and subnormals,
+/// 0x7ff for infinities and NaN).
+#[inline]
+pub(crate) fn exponent_field(x: f64) -> u32 {
+    ((x.to_bits() >> 52) & 0x7ff) as u32
+}
+
 /// Round `x` to `bits` explicit fraction bits (round-to-nearest-even),
 /// preserving the exponent. Infinities, NaN and zero pass through.
 #[must_use]
 pub fn round_to_mantissa_bits(x: f64, bits: u32) -> f64 {
-    if x == 0.0 || !x.is_finite() {
+    let field = exponent_field(x);
+    if x == 0.0 || field == 0x7ff || bits >= 52 {
         return x;
     }
-    let e = exponent_of(x);
-    let scale = 2f64.powi(e - bits as i32);
-    (x / scale).round_ties_even() * scale
-}
-
-/// Truncate `x` toward zero at `bits` explicit fraction bits relative to the
-/// binade of `reference_exponent` (used by the tensor-core alignment step).
-#[must_use]
-pub fn truncate_at_exponent(x: f64, reference_exponent: i32, bits: u32) -> f64 {
-    if x == 0.0 || !x.is_finite() {
-        return x;
+    if field == 0 {
+        // Subnormal: exact scaling by a power of two, unless the grid is
+        // finer than f64's own, which `x` already sits on.
+        let grid = exponent_of(x) - bits as i32;
+        if grid < -1074 {
+            return x;
+        }
+        let scale = pow2(grid);
+        return (x / scale).round_ties_even() * scale;
     }
-    let scale = 2f64.powi(reference_exponent - bits as i32);
-    (x / scale).trunc() * scale
+    // Normal: round the fraction field half-to-even in the integer
+    // domain. A carry out of the fraction bumps the exponent field, up to
+    // the infinity pattern past the top binade.
+    let drop = 52 - bits;
+    let b = x.to_bits();
+    let odd = (b >> drop) & 1;
+    f64::from_bits((b + (1 << (drop - 1)) - 1 + odd) & !((1 << drop) - 1))
 }
 
-/// Floor of log2(|x|) for finite nonzero `x`.
+/// Floor of log2(|x|) for finite nonzero `x`, read from the exponent
+/// field (for a subnormal, from the position of its leading fraction bit).
 #[must_use]
 pub fn exponent_of(x: f64) -> i32 {
-    let mut e = x.abs().log2().floor() as i32;
-    // Guard against log2 imprecision at binade edges.
-    let a = x.abs();
-    if 2f64.powi(e + 1) <= a {
-        e += 1;
-    } else if 2f64.powi(e) > a {
-        e -= 1;
+    let field = exponent_field(x);
+    if field == 0 {
+        let fraction = x.to_bits() & F64_FRACTION_MASK;
+        63 - fraction.leading_zeros() as i32 - 1074
+    } else {
+        field as i32 - 1023
     }
-    e
+}
+
+/// `2^e`, built from its bit pattern: exact for every `e` in
+/// `-1074..=1023` (subnormal below `-1022`), `0.0` below that range and
+/// `+∞` above it.
+#[must_use]
+pub(crate) fn pow2(e: i32) -> f64 {
+    if e > 1023 {
+        f64::INFINITY
+    } else if e >= -1022 {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    } else if e >= -1074 {
+        f64::from_bits(1 << (e + 1074))
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -154,13 +183,6 @@ mod tests {
         assert_eq!(exponent_of(2.0), 1);
         assert_eq!(exponent_of(-3.0), 1);
         assert_eq!(exponent_of(448.0), 8);
-    }
-
-    #[test]
-    fn truncate_is_toward_zero() {
-        // reference exponent 0, 4 bits: grid step 1/16
-        assert_eq!(truncate_at_exponent(0.99, 0, 4), 0.9375);
-        assert_eq!(truncate_at_exponent(-0.99, 0, 4), -0.9375);
     }
 
     #[test]

@@ -75,45 +75,59 @@ impl Fp8Gemm {
     }
 
     /// Execute the emulated GEMM.
+    ///
+    /// For each (row, K-chunk) the products for all `n` columns are formed
+    /// first, reading B's rows contiguously. Each column keeps its own
+    /// accumulator, so every output sees the same float operations in the
+    /// same order as a column-at-a-time loop.
     #[must_use]
     pub fn execute(&self) -> Matrix {
         let (m, k, n) = (self.a.rows, self.a.cols, self.b.cols);
         let chunk = self.cfg.chunk;
         let mut out = Matrix::zeros(m, n);
-        let mut prod = vec![0f64; chunk];
+        // One chunk's products, column-major: column j's are contiguous.
+        let mut prod = vec![0f64; chunk.min(k) * n];
+        let mut acc_f32 = vec![0f32; n];
+        let mut acc_fp22 = vec![Fp22::new(); n];
+        let mut acc_exact = vec![0f64; n];
         for i in 0..m {
-            for j in 0..n {
-                let mut acc_f32 = 0f32;
-                let mut acc_fp22 = Fp22::new();
-                let mut acc_exact = 0f64;
-                let mut c0 = 0usize;
-                while c0 < k {
-                    let c1 = (c0 + chunk).min(k);
+            acc_f32.fill(0.0);
+            acc_fp22.fill(Fp22::new());
+            acc_exact.fill(0.0);
+            let a_row = &self.a.codes[i * k..(i + 1) * k];
+            for c0 in (0..k).step_by(chunk) {
+                let len = chunk.min(k - c0);
+                for (kk, &a) in a_row[c0..c0 + len].iter().enumerate() {
+                    let b_row = &self.b.codes[(c0 + kk) * n..(c0 + kk + 1) * n];
+                    for (j, &b) in b_row.iter().enumerate() {
+                        prod[j * len + kk] = a * b;
+                    }
+                }
+                let a_scale = self.a.scale_at(i, c0);
+                for (j, column) in prod[..len * n].chunks_exact(len).enumerate() {
                     // Tensor-core portion: FP22 accumulation of aligned,
                     // truncated 32-product sums over this chunk.
                     let mut partial = Fp22::new();
-                    for (kk, p) in (c0..c1).zip(prod.iter_mut()) {
-                        *p = self.a.codes[i * k + kk] * self.b.codes[kk * n + j];
-                    }
-                    for sub in prod[..c1 - c0].chunks(MMA_K) {
+                    for sub in column.chunks(MMA_K) {
                         partial = partial + align_truncate_sum(sub);
                     }
                     // CUDA-core portion: dequantize and promote.
-                    let scale = self.a.scale_at(i, c0) * self.b.scale_at(c0, j);
+                    let scale = a_scale * self.b.scale_at(c0, j);
                     let scaled = partial.to_f64() * scale;
                     match self.cfg.main_acc {
-                        MainAccumulator::Fp32 => acc_f32 += scaled as f32,
-                        MainAccumulator::Fp22 => acc_fp22 = acc_fp22 + scaled,
-                        MainAccumulator::Exact => acc_exact += scaled,
+                        MainAccumulator::Fp32 => acc_f32[j] += scaled as f32,
+                        MainAccumulator::Fp22 => acc_fp22[j] = acc_fp22[j] + scaled,
+                        MainAccumulator::Exact => acc_exact[j] += scaled,
                     }
-                    c0 = c1;
                 }
+            }
+            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
                 let v = match self.cfg.main_acc {
-                    MainAccumulator::Fp32 => f64::from(acc_f32),
-                    MainAccumulator::Fp22 => acc_fp22.to_f64(),
-                    MainAccumulator::Exact => acc_exact,
+                    MainAccumulator::Fp32 => f64::from(acc_f32[j]),
+                    MainAccumulator::Fp22 => acc_fp22[j].to_f64(),
+                    MainAccumulator::Exact => acc_exact[j],
                 };
-                out.set(i, j, v as f32);
+                *o = v as f32;
             }
         }
         out

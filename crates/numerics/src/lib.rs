@@ -43,6 +43,8 @@ pub mod logfmt;
 pub mod matrix;
 pub mod metrics;
 pub mod minifloat;
+#[cfg(test)]
+mod oracle;
 pub mod quant;
 pub mod tensorcore;
 

@@ -110,6 +110,10 @@ impl Matrix {
 
     /// Reference matmul `self × rhs` with `f64` accumulation.
     ///
+    /// Loops i-k-j over one row of `f64` accumulators, so `rhs` is read
+    /// row by row while each output still sums its products in ascending
+    /// `k`.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.rows`.
@@ -117,13 +121,17 @@ impl Matrix {
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut acc = vec![0f64; rhs.cols];
         for i in 0..self.rows {
-            for j in 0..rhs.cols {
-                let mut acc = 0f64;
-                for k in 0..self.cols {
-                    acc += f64::from(self.get(i, k)) * f64::from(rhs.get(k, j));
+            acc.fill(0.0);
+            for (k, &a) in self.row(i).iter().enumerate() {
+                let a = f64::from(a);
+                for (s, &b) in acc.iter_mut().zip(rhs.row(k)) {
+                    *s += a * f64::from(b);
                 }
-                out.set(i, j, acc as f32);
+            }
+            for (o, &s) in out.row_mut(i).iter_mut().zip(&acc) {
+                *o = s as f32;
             }
         }
         out

@@ -8,6 +8,7 @@
 //! clamp to it rather than becoming infinity/NaN), which is also what
 //! DeepSeek-V3's quantizer relies on.
 
+use crate::fp22::{exponent_field, pow2, F64_FRACTION_MASK};
 use serde::{Deserialize, Serialize};
 
 /// Layout and semantics of a binary minifloat format.
@@ -53,7 +54,7 @@ impl Format {
         (1 << (self.exp_bits - 1)) - 1
     }
 
-    const fn max_biased_exp(&self) -> i32 {
+    pub(crate) const fn max_biased_exp(&self) -> i32 {
         // Highest biased exponent usable for normal numbers.
         let top = (1 << self.exp_bits) - 1;
         if self.finite_only {
@@ -66,139 +67,109 @@ impl Format {
     /// Largest finite representable magnitude.
     #[must_use]
     pub fn max_finite(&self) -> f64 {
-        let e = self.max_biased_exp() - self.bias();
-        let mut man_max = (1u64 << self.man_bits) - 1;
-        if self.finite_only {
-            // The all-ones exponent + all-ones mantissa pattern is NaN, so
-            // the largest finite value has mantissa 111...0.
-            man_max &= !1;
-        }
-        let frac = 1.0 + man_max as f64 / (1u64 << self.man_bits) as f64;
-        frac * 2f64.powi(e)
+        self.decode(self.max_finite_pattern())
     }
 
     /// Smallest positive normal magnitude.
     #[must_use]
     pub fn min_normal(&self) -> f64 {
-        2f64.powi(1 - self.bias())
+        self.decode(1 << self.man_bits)
     }
 
     /// Smallest positive subnormal magnitude.
     #[must_use]
     pub fn min_subnormal(&self) -> f64 {
-        2f64.powi(1 - self.bias() - self.man_bits as i32)
+        self.decode(1)
     }
 
     /// Encode `x` to the nearest representable value's bit pattern
     /// (round-to-nearest, ties-to-even; magnitudes beyond
-    /// [`max_finite`](Self::max_finite) saturate to it).
+    /// [`max_finite`](Self::max_finite) saturate to it, and so does ±∞ in
+    /// a [`finite_only`](Self::finite_only) format).
+    ///
+    /// Rounding happens in the integer domain on the `f64`'s significand.
+    /// Codes are monotone in magnitude, so one code covers both binades
+    /// and subnormals: the biased exponent of the grid's binade, shifted
+    /// up, plus the rounded significand (implicit bit included), whose
+    /// carry bumps the exponent. Every `f64` subnormal lies far below
+    /// half the smallest subnormal of the paper's formats and so rounds
+    /// to a signed zero.
     #[must_use]
     pub fn encode(&self, x: f64) -> u32 {
-        let sign = if x.is_sign_negative() { 1u32 << (self.exp_bits + self.man_bits) } else { 0 };
-        if x.is_nan() {
-            return sign | self.nan_pattern();
+        let bits = x.to_bits();
+        let sign = ((bits >> 63) as u32) << (self.exp_bits + self.man_bits);
+        let field = exponent_field(x) as i32;
+        let fraction = bits & F64_FRACTION_MASK;
+        if field == 0x7ff {
+            return sign
+                | if fraction != 0 {
+                    self.nan_pattern()
+                } else if self.finite_only {
+                    self.max_finite_pattern()
+                } else {
+                    // IEEE-style formats keep infinity.
+                    ((1u32 << self.exp_bits) - 1) << self.man_bits
+                };
         }
-        let mag = x.abs();
-        if mag == 0.0 {
+        // |x| = significand · 2^scale, with the implicit bit for normals.
+        let (significand, scale) =
+            if field == 0 { (fraction, -1074) } else { (fraction | 1 << 52, field - 1075) };
+        if significand == 0 {
             return sign;
         }
-        if !self.finite_only && mag.is_infinite() {
-            // IEEE-style formats keep infinity.
-            let inf = ((1u32 << self.exp_bits) - 1) << self.man_bits;
-            return sign | inf;
-        }
+        let binade = scale + 63 - significand.leading_zeros() as i32;
+        let grid_binade = binade.max(1 - self.bias());
+        let man_bits = self.man_bits as i32;
+        let shift = grid_binade - man_bits - scale;
+        let rounded = if shift <= 0 {
+            significand << -shift
+        } else if shift >= 64 {
+            0
+        } else {
+            let odd = (significand >> shift) & 1;
+            (significand + (1 << (shift - 1)) - 1 + odd) >> shift
+        };
         // Round first, then saturate: a value that rounds *down* into range
         // must not be clamped prematurely.
-        let (e, frac_bits) = self.round_magnitude(mag);
-        if e > self.max_biased_exp() || self.frac_overflows(e, frac_bits) {
-            return sign | self.max_finite_pattern();
-        }
-        sign | ((e as u32) << self.man_bits) | frac_bits
+        let code = (i64::from(grid_binade + self.bias() - 1) << man_bits) + rounded as i64;
+        sign | code.min(i64::from(self.max_finite_pattern())) as u32
     }
 
-    /// True if the rounded value at biased exponent `e` exceeds the format's
-    /// largest finite encoding.
-    fn frac_overflows(&self, e: i32, frac: u32) -> bool {
-        if e < self.max_biased_exp() {
-            return false;
-        }
-        let mut man_max = (1u32 << self.man_bits) - 1;
-        if self.finite_only {
-            man_max &= !1;
-        }
-        frac > man_max
-    }
-
-    /// Round `mag > 0` to the format's grid, returning (biased exponent,
-    /// fraction bits). A biased exponent of 0 means subnormal. May return an
-    /// exponent above `max_biased_exp`, which the caller treats as overflow.
-    fn round_magnitude(&self, mag: f64) -> (i32, u32) {
-        let bias = self.bias();
-        // Unbiased exponent of the representable binade containing mag.
-        let mut e_unb = mag.log2().floor() as i32;
-        // Guard against log2 imprecision at binade edges.
-        if 2f64.powi(e_unb + 1) <= mag {
-            e_unb += 1;
-        } else if 2f64.powi(e_unb) > mag {
-            e_unb -= 1;
-        }
-        let min_unb = 1 - bias;
-        let (scale_exp, implicit_one) = if e_unb < min_unb {
-            (min_unb, false) // subnormal range
-        } else {
-            (e_unb, true)
-        };
-        let frac = mag / 2f64.powi(scale_exp); // in [0,2) normally
-        let steps = (1u64 << self.man_bits) as f64;
-        let units = frac * steps; // representable values are integers here
-        let mut k = round_ties_even(units);
-        let mut e = if implicit_one { scale_exp + bias } else { 0 };
-        let full = 1u64 << self.man_bits;
-        if implicit_one {
-            // k in [steps, 2*steps]; 2*steps means carry to next binade.
-            if k >= 2 * full {
-                e += 1;
-                k = full;
-            }
-            (e, (k - full) as u32)
-        } else {
-            // Subnormal: k in [0, steps]; steps means promotion to min normal.
-            if k >= full {
-                (1, (k - full) as u32)
-            } else {
-                (0, k as u32)
-            }
-        }
-    }
-
-    /// Decode a bit pattern to `f64`. Bits above
-    /// [`total_bits`](Self::total_bits) are ignored.
+    /// Decode a bit pattern to `f64`, assembled from the code's fields:
+    /// the significand (implicit bit included for normals) times a power
+    /// of two, both exact. Bits above [`total_bits`](Self::total_bits)
+    /// are ignored.
     #[must_use]
     pub fn decode(&self, bits: u32) -> f64 {
         let bits = bits & ((1u32 << self.total_bits()) - 1);
-        let sign = if bits >> (self.exp_bits + self.man_bits) & 1 == 1 { -1.0 } else { 1.0 };
+        let negative = bits >> (self.exp_bits + self.man_bits) & 1 == 1;
         let e = (bits >> self.man_bits) & ((1 << self.exp_bits) - 1);
         let m = bits & ((1 << self.man_bits) - 1);
-        let bias = self.bias();
         let top = (1u32 << self.exp_bits) - 1;
         if e == top && !self.finite_only {
             if m == 0 {
-                return sign * f64::INFINITY;
+                return if negative { f64::NEG_INFINITY } else { f64::INFINITY };
             }
             return f64::NAN;
         }
         if self.finite_only && e == top && m == (1 << self.man_bits) - 1 {
             return f64::NAN;
         }
-        if e == 0 {
-            let frac = m as f64 / (1u64 << self.man_bits) as f64;
-            return sign * frac * 2f64.powi(1 - bias);
+        // Subnormals have no implicit bit and share the lowest binade.
+        let (significand, binade) = if e == 0 {
+            (m, 1 - self.bias())
+        } else {
+            (m | 1 << self.man_bits, e as i32 - self.bias())
+        };
+        let mag = f64::from(significand) * pow2(binade - self.man_bits as i32);
+        if negative {
+            -mag
+        } else {
+            mag
         }
-        let frac = 1.0 + m as f64 / (1u64 << self.man_bits) as f64;
-        sign * frac * 2f64.powi(e as i32 - bias)
     }
 
-    fn nan_pattern(&self) -> u32 {
+    pub(crate) fn nan_pattern(&self) -> u32 {
         if self.finite_only {
             // all-ones exponent and mantissa
             (1u32 << (self.exp_bits + self.man_bits)) - 1
@@ -208,7 +179,7 @@ impl Format {
         }
     }
 
-    fn max_finite_pattern(&self) -> u32 {
+    pub(crate) fn max_finite_pattern(&self) -> u32 {
         let e = self.max_biased_exp() as u32;
         let mut man_max = (1u32 << self.man_bits) - 1;
         if self.finite_only {
@@ -234,18 +205,6 @@ impl Format {
         // `per_sign` counts every finite pattern of one sign including zero;
         // +0 and -0 collapse to a single logical value.
         2 * per_sign - 1
-    }
-}
-
-/// Round to nearest integer with ties-to-even, on a non-negative input.
-fn round_ties_even(x: f64) -> u64 {
-    let floor = x.floor();
-    let diff = x - floor;
-    let f = floor as u64;
-    if diff > 0.5 || (diff == 0.5 && !f.is_multiple_of(2)) {
-        f + 1
-    } else {
-        f
     }
 }
 
@@ -388,6 +347,13 @@ mod tests {
         assert!(F8E4M3::from_f32(f32::NAN).to_f64().is_nan());
         assert!(F8E5M2::from_f32(f32::NAN).to_f64().is_nan());
         assert!(Bf16::from_f32(f32::NAN).to_f64().is_nan());
+    }
+
+    #[test]
+    fn e4m3_infinity_saturates_with_its_sign() {
+        assert_eq!(F8E4M3::from_f32(f32::INFINITY).to_f64(), 448.0);
+        assert_eq!(F8E4M3::from_f32(f32::NEG_INFINITY).to_f64(), -448.0);
+        assert_eq!(Format::E4M3.encode(f64::NEG_INFINITY), 0xfe);
     }
 
     #[test]

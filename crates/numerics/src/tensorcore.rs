@@ -12,7 +12,7 @@
 //! selectable [`Accumulation`] strategy, which is what the paper's E3
 //! experiment (FP8 accumulation error) sweeps.
 
-use crate::fp22::{exponent_of, truncate_at_exponent, Fp22, FP22_MANTISSA_BITS};
+use crate::fp22::{exponent_field, exponent_of, pow2, Fp22, FP22_MANTISSA_BITS};
 use serde::{Deserialize, Serialize};
 
 /// Number of products summed by one emulated tensor-core MMA step.
@@ -51,15 +51,51 @@ impl Accumulation {
 ///
 /// `products` are the exact FP8×FP8 products (each FP8×FP8 product is exactly
 /// representable in f64, so no rounding has happened before this point).
+///
+/// The sum runs in integers: with `max_e` the largest exponent, each
+/// product becomes `trunc(p · 2^(13 − max_e))` units of `2^(max_e − 13)`,
+/// and the unit total is scaled once at the end. That is exact. Every
+/// truncated term is below 2^14 units, so 32 of them and every partial
+/// sum stay below 2^19 units: a float sum of the truncated terms, in any
+/// order, would be exact too, and yields the same value.
 #[must_use]
 pub fn align_truncate_sum(products: &[f64]) -> f64 {
     debug_assert!(products.len() <= MMA_K);
+    const BITS: i32 = FP22_MANTISSA_BITS as i32;
+    let max_field = products.iter().fold(0, |m, &p| m.max(exponent_field(p)));
+    let max_e = max_field as i32 - 1023;
+    // Outside this range the unit scale leaves the normal range or a
+    // partial sum could overflow: all-zero or subnormal-only groups, huge
+    // products, infinities and NaN.
+    if !(BITS - 1023..=1023 - 5).contains(&max_e) {
+        return align_truncate_sum_by_scaling(products);
+    }
+    let to_units = pow2(BITS - max_e);
+    let units: i64 = products.iter().map(|&p| (p * to_units) as i64).sum();
+    units as f64 * pow2(max_e - BITS)
+}
+
+/// [`align_truncate_sum`] term by term in floating point, for the groups
+/// the integer path does not cover. Non-finite products pass through and
+/// propagate; an all-zero group sums its signed zeros.
+fn align_truncate_sum_by_scaling(products: &[f64]) -> f64 {
     let max_e =
         products.iter().filter(|p| **p != 0.0 && p.is_finite()).map(|p| exponent_of(*p)).max();
     let Some(max_e) = max_e else {
-        return products.iter().sum(); // all zero (or non-finite propagates)
+        return products.iter().sum();
     };
-    products.iter().map(|&p| truncate_at_exponent(p, max_e, FP22_MANTISSA_BITS)).sum()
+    let grid = max_e - FP22_MANTISSA_BITS as i32;
+    let scale = pow2(grid);
+    products
+        .iter()
+        .map(|&p| {
+            if p == 0.0 || !p.is_finite() || grid < -1074 {
+                p // already on a grid finer than f64's own
+            } else {
+                (p / scale).trunc() * scale
+            }
+        })
+        .sum()
 }
 
 /// Emulated FP8 dot product of `a · b` with the given accumulation strategy.

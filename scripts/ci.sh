@@ -88,6 +88,23 @@ scripts/bench_gate.sh run lint
 echo "==> bench gate: degenerate resilience walk within 1.2x of simulate_goodput"
 scripts/bench_gate.sh run resilience
 
+echo "==> benchmark correctness: fp8-train at seeds 17 and 23, registry-rest"
+# dsv3-bench checks every operation's output against the digests in
+# perfbench/golden/: this pins the 30-step training reports at both seeds
+# and the registry entries that reach the numerics fast path.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin dsv3-bench
+bench_correct() {
+  local line
+  line="$(perfbench/target/release/dsv3-bench --seconds 2 --trace 0 "$@" 2>/dev/null | tail -n 1)"
+  if [[ "$line" != *'"correct":true'* ]]; then
+    echo "dsv3-bench $* is not correct: $line" >&2
+    exit 1
+  fi
+}
+bench_correct --workload fp8-train --seed 17
+bench_correct --workload fp8-train --seed 23
+bench_correct --workload registry-rest
+
 echo "==> examples build"
 cargo build --release --offline --examples
 

@@ -2,6 +2,11 @@
 //! `fault-drill` reports are byte-identical to the pre-telemetry
 //! captures under `tests/golden/` — instrumenting the simulators must
 //! not perturb a single byte of the default output.
+//!
+//! The registry entries that run the emulated FP8 pipeline
+//! (`fp8-training` at its default 300 steps, `fp8-gemm`, `logfmt`,
+//! `robustness`) are pinned the same way, so the bit-level numerics fast
+//! path provably changes no printed byte.
 
 use dsv3_core::registry;
 use dsv3_core::telemetry::Recorder;
@@ -38,6 +43,46 @@ fn fault_drill_text_report_matches_golden() {
 #[test]
 fn fault_drill_json_report_matches_golden() {
     assert_eq!(json("fault-drill"), include_str!("golden/fault_drill.json"));
+}
+
+#[test]
+fn fp8_training_text_report_matches_golden() {
+    assert_eq!(rendered("fp8-training"), include_str!("golden/fp8_training.txt"));
+}
+
+#[test]
+fn fp8_training_json_report_matches_golden() {
+    assert_eq!(json("fp8-training"), include_str!("golden/fp8_training.json"));
+}
+
+#[test]
+fn fp8_gemm_text_report_matches_golden() {
+    assert_eq!(rendered("fp8-gemm"), include_str!("golden/fp8_gemm.txt"));
+}
+
+#[test]
+fn fp8_gemm_json_report_matches_golden() {
+    assert_eq!(json("fp8-gemm"), include_str!("golden/fp8_gemm.json"));
+}
+
+#[test]
+fn logfmt_text_report_matches_golden() {
+    assert_eq!(rendered("logfmt"), include_str!("golden/logfmt.txt"));
+}
+
+#[test]
+fn logfmt_json_report_matches_golden() {
+    assert_eq!(json("logfmt"), include_str!("golden/logfmt.json"));
+}
+
+#[test]
+fn robustness_text_report_matches_golden() {
+    assert_eq!(rendered("robustness"), include_str!("golden/robustness.txt"));
+}
+
+#[test]
+fn robustness_json_report_matches_golden() {
+    assert_eq!(json("robustness"), include_str!("golden/robustness.json"));
 }
 
 /// The instrumented path computes the same report the plain path does —
