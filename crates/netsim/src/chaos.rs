@@ -24,10 +24,12 @@
 //!   *stranded* and accounted in [`ChaosReport`].
 //!
 //! With an empty schedule, no deadline, and single-path flows, [`ChaosSim`]
-//! reproduces [`crate::FlowSim::run`] bit-for-bit: both use the shared
-//! progressive-filling kernel and identical horizon arithmetic.
+//! reproduces [`crate::FlowSim::run`] bit-for-bit: both drive the shared
+//! incremental max-min solver ([`crate::maxmin`]) and use identical horizon
+//! arithmetic.
 
-use crate::sim::{max_min_rates_for, Link, LinkId};
+use crate::maxmin::{MaxMinSolver, SolverWork};
+use crate::sim::{check_times, Link, LinkId};
 use dsv3_telemetry::Recorder;
 use dsv3_units::us_to_ms;
 use rand::rngs::StdRng;
@@ -467,7 +469,8 @@ impl ChaosSim {
     /// # Panics
     ///
     /// Panics if `paths` is empty, a path references an unknown link,
-    /// `bytes` is negative, or a link capacity is negative.
+    /// `bytes` is negative, a link capacity is negative, or `start_us` or
+    /// `latency_us` is negative or not finite.
     pub fn add_flow(
         &mut self,
         paths: Vec<Vec<LinkId>>,
@@ -477,6 +480,7 @@ impl ChaosSim {
     ) -> FlowId {
         assert!(!paths.is_empty(), "a flow needs at least one candidate path");
         assert!(bytes >= 0.0, "bytes must be non-negative");
+        check_times(start_us, latency_us);
         for path in &paths {
             for &l in path {
                 assert!(l < self.links.len(), "unknown link {l}");
@@ -496,7 +500,7 @@ impl ChaosSim {
     /// is not positive (retry loops must advance time).
     #[must_use]
     pub fn run(&self, cfg: &ChaosConfig) -> ChaosReport {
-        self.run_impl(cfg, None)
+        self.run_impl(cfg, None, self.solver()).0
     }
 
     /// [`ChaosSim::run`] plus telemetry: one span per flow (start to finish
@@ -512,10 +516,14 @@ impl ChaosSim {
     // lint:entry — ChaosSim event loop (link flaps + reroute under faults).
     pub fn run_traced(&self, rec: &mut Recorder, scope: &str, cfg: &ChaosConfig) -> ChaosReport {
         if rec.is_enabled() {
-            self.run_impl(cfg, Some((rec, scope)))
+            self.run_impl(cfg, Some((rec, scope)), self.solver()).0
         } else {
-            self.run_impl(cfg, None)
+            self.run_impl(cfg, None, self.solver()).0
         }
+    }
+
+    fn solver(&self) -> MaxMinSolver {
+        MaxMinSolver::new(&self.links, self.flows.len())
     }
 
     fn validate(&self, cfg: &ChaosConfig) {
@@ -544,7 +552,12 @@ impl ChaosSim {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run_impl(&self, cfg: &ChaosConfig, mut tel: Option<(&mut Recorder, &str)>) -> ChaosReport {
+    pub(crate) fn run_impl(
+        &self,
+        cfg: &ChaosConfig,
+        mut tel: Option<(&mut Recorder, &str)>,
+        mut solver: MaxMinSolver,
+    ) -> (ChaosReport, SolverWork) {
         self.validate(cfg);
         let change_points = cfg.schedule.change_points_us();
         let mut rt: Vec<Rt> = self
@@ -574,6 +587,7 @@ impl ChaosSim {
                     let live = matches!(r.phase, Phase::Waiting { .. } | Phase::Active);
                     let dl = self.flows[f].start_us + d;
                     if live && dl <= now + EPS {
+                        solver.deactivate(f);
                         r.phase = Phase::Stranded;
                         r.stranded_us = Some(dl.max(self.flows[f].start_us));
                     }
@@ -588,6 +602,7 @@ impl ChaosSim {
                 {
                     continue;
                 }
+                solver.deactivate(f);
                 let lost = cfg.retransmit.inflight_window_bytes.min(r.attempt_sent);
                 r.remaining += lost;
                 r.lost += lost;
@@ -732,24 +747,30 @@ impl ChaosSim {
                 }
                 break;
             }
-            // 6. Max-min rates over the active flows' current paths (shared
-            // kernel with FlowSim), then advance to the nearest horizon.
-            let paths: Vec<&[LinkId]> =
-                active.iter().map(|&f| self.flows[f].paths[rt[f].current].as_slice()).collect();
-            let rates = max_min_rates_for(&self.links, &paths);
+            // 6. Max-min rates over the active flows' current paths (the
+            // solver shared with FlowSim re-solves only the components an
+            // activation or stop touched), then advance to the nearest
+            // horizon.
+            for &f in &active {
+                if !solver.is_active(f) {
+                    solver.activate(f, &self.flows[f].paths[rt[f].current]);
+                }
+            }
+            solver.solve();
             let mut next_done = f64::INFINITY;
-            for (i, &f) in active.iter().enumerate() {
-                if rates[i] > 0.0 {
+            for &f in &active {
+                let rate = solver.rate(f);
+                if rate > 0.0 {
                     // 1 GB/s = 1000 B/µs, as in FlowSim::run.
-                    let us = rt[f].remaining / (rates[i] * 1000.0);
+                    let us = rt[f].remaining / (rate * 1000.0);
                     next_done = next_done.min(now + us);
                 }
             }
             let horizon = next_done.min(next_wake);
             assert!(horizon.is_finite(), "simulation cannot progress (all rates zero)");
             let dt = horizon - now;
-            for (i, &f) in active.iter().enumerate() {
-                let moved = rates[i] * 1000.0 * dt;
+            for &f in &active {
+                let moved = solver.rate(f) * 1000.0 * dt;
                 let r = &mut rt[f];
                 r.remaining = (r.remaining - moved).max(0.0);
                 r.attempt_sent += moved;
@@ -758,6 +779,7 @@ impl ChaosSim {
                     r.remaining = 0.0;
                     r.finish_us = Some(horizon + self.flows[f].latency_us);
                     r.phase = Phase::Done;
+                    solver.deactivate(f);
                 }
             }
             now = horizon;
@@ -857,7 +879,7 @@ impl ChaosSim {
             );
             rec.counter_add(&format!("{scope}.chaos.link_failures"), report.link_failures as u64);
         }
-        report
+        (report, solver.work)
     }
 }
 
@@ -1239,6 +1261,18 @@ mod tests {
             ..ChaosConfig::default()
         };
         let _ = sim.run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "start_us must be finite and non-negative")]
+    fn nan_start_panics() {
+        ChaosSim::new(links(&[50.0])).add_flow(vec![vec![0]], 1.0, f64::NAN, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency_us must be finite and non-negative")]
+    fn negative_latency_panics() {
+        ChaosSim::new(links(&[50.0])).add_flow(vec![vec![0]], 1.0, 0.0, -0.5);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! (progressive filling); the simulation advances between flow arrival and
 //! completion events.
 //!
-//! * [`sim`] — the simulator core ([`sim::FlowSim`]).
+//! * [`sim`] — the simulator core ([`sim::FlowSim`]). Its event loop and
+//!   the chaos engine's share one incremental max-min solver: bottlenecks
+//!   come from a heap, and an event re-solves only the connected
+//!   components of flows it touched, bit-identically to a global re-solve.
 //! * [`chaos`] — the fault-tolerant layer ([`chaos::ChaosSim`]): seeded
 //!   link up/down schedules, reroute policies (stall / static rehash /
 //!   adaptive), and timeout + backoff retransmission (§5, Figures 5–8).
@@ -26,7 +29,10 @@ pub mod cbfc;
 pub mod chaos;
 pub mod incast;
 pub mod latency;
+mod maxmin;
 pub mod multiport;
+#[cfg(test)]
+mod oracle;
 pub mod ordering;
 pub mod sim;
 

@@ -1,5 +1,6 @@
 //! The flow-level simulator core.
 
+use crate::maxmin::{max_min_rates, MaxMinSolver, SolverWork};
 use dsv3_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
 
@@ -91,7 +92,8 @@ impl FlowSim {
     /// # Panics
     ///
     /// Panics if the path references an unknown link, `bytes` is negative,
-    /// or a link capacity is negative.
+    /// a link capacity is negative, or `start_us` or `latency_us` is
+    /// negative or not finite.
     pub fn add_flow(
         &mut self,
         path: Vec<LinkId>,
@@ -100,6 +102,7 @@ impl FlowSim {
         latency_us: f64,
     ) -> FlowId {
         assert!(bytes >= 0.0, "bytes must be non-negative");
+        check_times(start_us, latency_us);
         for &l in &path {
             assert!(l < self.links.len(), "unknown link {l}");
             assert!(self.links[l].capacity_gbps >= 0.0, "link {l} has negative capacity");
@@ -122,7 +125,7 @@ impl FlowSim {
     #[must_use]
     pub fn max_min_rates(&self, active: &[FlowId]) -> Vec<f64> {
         let paths: Vec<&[LinkId]> = active.iter().map(|&f| self.flows[f].path.as_slice()).collect();
-        max_min_rates_for(&self.links, &paths)
+        max_min_rates(&self.links, &paths)
     }
 
     /// Run to completion.
@@ -131,7 +134,7 @@ impl FlowSim {
     ///
     /// Panics if no flows were added.
     pub fn run(&mut self) -> SimReport {
-        self.run_impl(None)
+        self.run_impl(None).0
     }
 
     /// [`FlowSim::run`] plus telemetry: one span per flow (named thread
@@ -148,13 +151,16 @@ impl FlowSim {
     // lint:entry — FlowSim event loop (fluid max-min flow simulation).
     pub fn run_traced(&mut self, rec: &mut Recorder, scope: &str) -> SimReport {
         if rec.is_enabled() {
-            self.run_impl(Some((rec, scope)))
+            self.run_impl(Some((rec, scope))).0
         } else {
-            self.run_impl(None)
+            self.run_impl(None).0
         }
     }
 
-    fn run_impl(&mut self, mut tel: Option<(&mut Recorder, &str)>) -> SimReport {
+    pub(crate) fn run_impl(
+        &mut self,
+        mut tel: Option<(&mut Recorder, &str)>,
+    ) -> (SimReport, SolverWork) {
         assert!(!self.flows.is_empty(), "no flows to simulate");
         const EPS: f64 = 1e-9;
         let pid = match tel.as_mut() {
@@ -162,6 +168,7 @@ impl FlowSim {
             None => 0,
         };
         let mut link_bytes = vec![0f64; self.links.len()];
+        let mut solver = MaxMinSolver::new(&self.links, self.flows.len());
         // Transfer-phase completion bookkeeping: a flow's data transfer runs
         // in [start, t_done]; its reported finish adds the path latency.
         let mut now = 0f64;
@@ -196,14 +203,21 @@ impl FlowSim {
             if finished_any {
                 continue;
             }
-            let rates = self.max_min_rates(&active);
+            // Arrivals join the solver; only the components they or the
+            // last completions touched are re-solved.
+            for &f in &active {
+                if !solver.is_active(f) {
+                    solver.activate(f, &self.flows[f].path);
+                }
+            }
+            solver.solve();
             // Next event: earliest completion or next arrival.
             let mut next_done = f64::INFINITY;
-            for (i, &f) in active.iter().enumerate() {
-                if rates[i] > 0.0 {
-                    // bytes / (GB/s) = ns·... capacity GB/s = bytes/ns·1e-?:
+            for &f in &active {
+                let rate = solver.rate(f);
+                if rate > 0.0 {
                     // 1 GB/s = 1e9 B / 1e6 µs = 1000 B/µs.
-                    let us = self.flows[f].bytes_remaining / (rates[i] * 1000.0);
+                    let us = self.flows[f].bytes_remaining / (rate * 1000.0);
                     next_done = next_done.min(now + us);
                 }
             }
@@ -212,10 +226,11 @@ impl FlowSim {
             let dt = horizon - now;
             if let Some((rec, scope)) = tel.as_mut() {
                 let mut link_rate = vec![0f64; self.links.len()];
-                for (i, &f) in active.iter().enumerate() {
+                for &f in &active {
+                    let rate = solver.rate(f);
                     for &l in &self.flows[f].path {
-                        link_rate[l] += rates[i];
-                        link_bytes[l] += rates[i] * 1000.0 * dt;
+                        link_rate[l] += rate;
+                        link_bytes[l] += rate * 1000.0 * dt;
                     }
                 }
                 for (l, &rate) in link_rate.iter().enumerate() {
@@ -224,13 +239,14 @@ impl FlowSim {
                     rec.counter_sample(pid, &format!("{scope}.link{l}.utilization"), now, util);
                 }
             }
-            for (i, &f) in active.iter().enumerate() {
-                let moved = rates[i] * 1000.0 * dt;
+            for &f in &active {
+                let moved = solver.rate(f) * 1000.0 * dt;
                 let fl = &mut self.flows[f];
                 fl.bytes_remaining = (fl.bytes_remaining - moved).max(0.0);
                 if fl.bytes_remaining <= EPS.max(1e-6 * moved) {
                     fl.bytes_remaining = 0.0;
                     fl.finish_us = Some(horizon + fl.latency_us);
+                    solver.deactivate(f);
                 }
             }
             now = horizon;
@@ -259,58 +275,19 @@ impl FlowSim {
                 }
             }
         }
-        SimReport { finish_us, makespan_us }
+        (SimReport { finish_us, makespan_us }, solver.work)
     }
 }
 
-/// Progressive-filling max-min allocation over `links` for flows following
-/// `paths`. Shared by [`FlowSim::max_min_rates`] and the chaos engine
-/// ([`crate::chaos::ChaosSim`]) so the two cannot drift: identical inputs
-/// produce bit-identical rates, which is what makes the empty-`LinkSchedule`
-/// chaos run byte-identical to [`FlowSim::run`].
-///
-/// A link with zero remaining capacity (e.g. a failed link) becomes the
-/// bottleneck for every flow crossing it, freezing those flows at rate 0.
-pub(crate) fn max_min_rates_for(links: &[Link], paths: &[&[LinkId]]) -> Vec<f64> {
-    let mut rates = vec![0f64; paths.len()];
-    let mut remaining_cap: Vec<f64> = links.iter().map(|l| l.capacity_gbps).collect();
-    let mut unfrozen: Vec<bool> = paths.iter().map(|p| !p.is_empty()).collect();
-    // Per-link index of crossing flows (positions into `paths`), plus a
-    // live count of still-unfrozen flows per link.
-    let mut on_link: Vec<Vec<usize>> = vec![Vec::new(); links.len()];
-    let mut count = vec![0usize; links.len()];
-    for (i, path) in paths.iter().enumerate() {
-        for &l in *path {
-            on_link[l].push(i);
-            count[l] += 1;
-        }
-    }
-    // Progressive filling: repeatedly saturate the link with the lowest
-    // fair share and freeze its flows. Flows with an empty path
-    // (pure-latency messages) are handled by the caller.
-    loop {
-        let mut bottleneck: Option<(LinkId, f64)> = None;
-        for (l, &c) in count.iter().enumerate() {
-            if c > 0 {
-                let fair = remaining_cap[l] / c as f64;
-                if bottleneck.is_none_or(|(_, bf)| fair < bf) {
-                    bottleneck = Some((l, fair));
-                }
-            }
-        }
-        let Some((bl, fair)) = bottleneck else { break };
-        for &i in &on_link[bl] {
-            if unfrozen[i] {
-                rates[i] = fair;
-                unfrozen[i] = false;
-                for &l in paths[i] {
-                    remaining_cap[l] = (remaining_cap[l] - fair).max(0.0);
-                    count[l] -= 1;
-                }
-            }
-        }
-    }
-    rates
+/// The `add_flow` time checks shared with [`crate::chaos::ChaosSim`]: a
+/// NaN or infinite start would leave a flow neither pending nor active,
+/// and a NaN latency would poison its finish time.
+pub(crate) fn check_times(start_us: f64, latency_us: f64) {
+    assert!(start_us.is_finite() && start_us >= 0.0, "start_us must be finite and non-negative");
+    assert!(
+        latency_us.is_finite() && latency_us >= 0.0,
+        "latency_us must be finite and non-negative"
+    );
 }
 
 #[cfg(test)]
@@ -408,6 +385,30 @@ mod tests {
     fn bad_path_panics() {
         let mut sim = one_link(1.0);
         sim.add_flow(vec![3], 1.0, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start_us must be finite and non-negative")]
+    fn nan_start_panics() {
+        one_link(1.0).add_flow(vec![0], 1.0, f64::NAN, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start_us must be finite and non-negative")]
+    fn negative_start_panics() {
+        one_link(1.0).add_flow(vec![0], 1.0, -1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency_us must be finite and non-negative")]
+    fn nan_latency_panics() {
+        one_link(1.0).add_flow(vec![0], 1.0, 0.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency_us must be finite and non-negative")]
+    fn infinite_latency_panics() {
+        one_link(1.0).add_flow(vec![0], 1.0, 0.0, f64::INFINITY);
     }
 
     #[test]

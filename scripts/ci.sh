@@ -88,10 +88,12 @@ scripts/bench_gate.sh run lint
 echo "==> bench gate: degenerate resilience walk within 1.2x of simulate_goodput"
 scripts/bench_gate.sh run resilience
 
-echo "==> benchmark correctness: fp8-train at seeds 17 and 23, registry-rest"
+echo "==> benchmark correctness: fp8-train at seeds 17 and 23, deepep at seeds 7 and 8, registry-rest"
 # dsv3-bench checks every operation's output against the digests in
-# perfbench/golden/: this pins the 30-step training reports at both seeds
-# and the registry entries that reach the numerics fast path.
+# perfbench/golden/: this pins the 30-step training reports at both seeds,
+# the Figure 7 DeepEP rounds (exactly `dsv3 fig7 --json` at seed 7) that
+# run the incremental max-min solver, and the registry entries that reach
+# the numerics fast path or the flow simulator.
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin dsv3-bench
 bench_correct() {
   local line
@@ -103,6 +105,8 @@ bench_correct() {
 }
 bench_correct --workload fp8-train --seed 17
 bench_correct --workload fp8-train --seed 23
+bench_correct --workload deepep --seed 7
+bench_correct --workload deepep --seed 8
 bench_correct --workload registry-rest
 
 echo "==> examples build"

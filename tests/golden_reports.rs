@@ -7,6 +7,11 @@
 //! (`fp8-training` at its default 300 steps, `fp8-gemm`, `logfmt`,
 //! `robustness`) are pinned the same way, so the bit-level numerics fast
 //! path provably changes no printed byte.
+//!
+//! Every registry entry that reaches the flow simulator (`fig5`, `fig6`,
+//! `fig7` at its default registry parameters, `fig8`, `table5`,
+//! `net-chaos`, `future-hardware`) is pinned too, so the incremental
+//! max-min solver provably changes no printed byte either.
 
 use dsv3_core::registry;
 use dsv3_core::telemetry::Recorder;
@@ -83,6 +88,76 @@ fn robustness_text_report_matches_golden() {
 #[test]
 fn robustness_json_report_matches_golden() {
     assert_eq!(json("robustness"), include_str!("golden/robustness.json"));
+}
+
+#[test]
+fn fig5_text_report_matches_golden() {
+    assert_eq!(rendered("fig5"), include_str!("golden/fig5.txt"));
+}
+
+#[test]
+fn fig5_json_report_matches_golden() {
+    assert_eq!(json("fig5"), include_str!("golden/fig5.json"));
+}
+
+#[test]
+fn fig6_text_report_matches_golden() {
+    assert_eq!(rendered("fig6"), include_str!("golden/fig6.txt"));
+}
+
+#[test]
+fn fig6_json_report_matches_golden() {
+    assert_eq!(json("fig6"), include_str!("golden/fig6.json"));
+}
+
+#[test]
+fn fig7_text_report_matches_golden() {
+    assert_eq!(rendered("fig7"), include_str!("golden/fig7.txt"));
+}
+
+#[test]
+fn fig7_json_report_matches_golden() {
+    assert_eq!(json("fig7"), include_str!("golden/fig7.json"));
+}
+
+#[test]
+fn fig8_text_report_matches_golden() {
+    assert_eq!(rendered("fig8"), include_str!("golden/fig8.txt"));
+}
+
+#[test]
+fn fig8_json_report_matches_golden() {
+    assert_eq!(json("fig8"), include_str!("golden/fig8.json"));
+}
+
+#[test]
+fn table5_text_report_matches_golden() {
+    assert_eq!(rendered("table5"), include_str!("golden/table5.txt"));
+}
+
+#[test]
+fn table5_json_report_matches_golden() {
+    assert_eq!(json("table5"), include_str!("golden/table5.json"));
+}
+
+#[test]
+fn net_chaos_text_report_matches_golden() {
+    assert_eq!(rendered("net-chaos"), include_str!("golden/net_chaos.txt"));
+}
+
+#[test]
+fn net_chaos_json_report_matches_golden() {
+    assert_eq!(json("net-chaos"), include_str!("golden/net_chaos.json"));
+}
+
+#[test]
+fn future_hardware_text_report_matches_golden() {
+    assert_eq!(rendered("future-hardware"), include_str!("golden/future_hardware.txt"));
+}
+
+#[test]
+fn future_hardware_json_report_matches_golden() {
+    assert_eq!(json("future-hardware"), include_str!("golden/future_hardware.json"));
 }
 
 /// The instrumented path computes the same report the plain path does —
