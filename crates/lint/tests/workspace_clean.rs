@@ -35,7 +35,7 @@ fn every_entry_point_is_parallel_ready() {
     let r = &analysis.readiness;
     assert!(r.entries.len() >= 5, "expected at least 5 lint:entry fns, found {}", r.entries.len());
     // The two entries the roadmap's deterministic-parallel work gates on.
-    for needle in ["run_overload_traced", "FlowSim::run_traced"] {
+    for needle in ["run_overload_traced", "ChaosSim::run_traced"] {
         assert!(
             r.entries.iter().any(|e| e.entry == needle),
             "readiness report must cover `{needle}`"

@@ -23,13 +23,14 @@
 //!   Flows that exhaust the budget — or miss their deadline — are
 //!   *stranded* and accounted in [`ChaosReport`].
 //!
-//! With an empty schedule, no deadline, and single-path flows, [`ChaosSim`]
-//! reproduces [`crate::FlowSim::run`] bit-for-bit: both drive the shared
-//! incremental max-min solver ([`crate::maxmin`]) and use identical horizon
-//! arithmetic.
+//! [`ChaosSim`]'s event loop is the crate's only flow event loop:
+//! [`crate::FlowSim`] is its single-path front, run with an empty schedule
+//! under [`ReroutePolicy::Stall`], so the two agree by construction. The
+//! loop drives the incremental max-min solver ([`crate::maxmin`]); the
+//! `#[cfg(test)]` oracle checks it against a global re-solve.
 
 use crate::maxmin::{MaxMinSolver, SolverWork};
-use crate::sim::{check_times, Link, LinkId};
+use crate::sim::{Link, LinkId};
 use dsv3_telemetry::Recorder;
 use dsv3_units::us_to_ms;
 use rand::rngs::StdRng;
@@ -345,9 +346,9 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Project onto a [`crate::SimReport`] when every flow completed.
     ///
-    /// With an empty schedule and no deadline the result is bit-identical
-    /// to [`crate::FlowSim::run`] on the same flows (same finish times,
-    /// same makespan fold).
+    /// With single-path flows, an empty schedule and no deadline the result
+    /// is bit-identical to [`crate::FlowSim::run`] (which runs this loop)
+    /// on the same flows under every policy.
     #[must_use]
     pub fn to_sim_report(&self) -> Option<crate::SimReport> {
         let mut finish_us = Vec::with_capacity(self.flows.len());
@@ -381,14 +382,20 @@ enum Phase {
         pick: bool,
     },
     Active,
-    Done,
-    Stranded,
+    /// Completed at `at_us` (includes path latency).
+    Done {
+        at_us: f64,
+    },
+    /// Aborted at `at_us` (retry budget exhausted or deadline missed).
+    Stranded {
+        at_us: f64,
+    },
 }
 
 /// One flow's immutable spec: a *set* of candidate paths (ECMP group).
 #[derive(Debug, Clone)]
-struct ChaosFlowSpec {
-    paths: Vec<Vec<LinkId>>,
+pub(crate) struct ChaosFlowSpec {
+    pub(crate) paths: Vec<Vec<LinkId>>,
     bytes: f64,
     start_us: f64,
     latency_us: f64,
@@ -396,7 +403,7 @@ struct ChaosFlowSpec {
 
 /// Per-flow mutable run state.
 #[derive(Debug, Clone)]
-struct Rt {
+pub(crate) struct Rt {
     phase: Phase,
     /// Current index into the spec's path set.
     current: usize,
@@ -408,16 +415,61 @@ struct Rt {
     lost: f64,
     retries: u32,
     reroutes: u64,
-    finish_us: Option<f64>,
-    stranded_us: Option<f64>,
 }
 
-/// A [`crate::FlowSim`] that survives a hostile fabric.
+impl Rt {
+    /// Completion instant (µs), if the flow finished.
+    pub(crate) fn finish_us(&self) -> Option<f64> {
+        if let Phase::Done { at_us } = self.phase {
+            Some(at_us)
+        } else {
+            None
+        }
+    }
+
+    fn stranded_us(&self) -> Option<f64> {
+        if let Phase::Stranded { at_us } = self.phase {
+            Some(at_us)
+        } else {
+            None
+        }
+    }
+
+    fn is_live(&self) -> bool {
+        matches!(self.phase, Phase::Waiting { .. } | Phase::Active)
+    }
+
+    /// Start an attempt on path `idx`.
+    fn activate(&mut self, idx: usize) {
+        if self.retries > 0 && idx != self.path_at_fail {
+            self.reroutes += 1;
+        }
+        self.current = idx;
+        self.attempt_sent = 0.0;
+        self.phase = Phase::Active;
+    }
+
+    /// Charge a failed attempt at `now`: strand the flow once its retry
+    /// budget is spent, otherwise wait out the detection timeout plus
+    /// backoff and re-pick a path.
+    fn fail_attempt(&mut self, rc: &RetransmitConfig, now: f64) {
+        self.retries += 1;
+        self.phase = if self.retries > rc.max_retries {
+            Phase::Stranded { at_us: now }
+        } else {
+            let wait = rc.detect_timeout_us + rc.backoff_delay_us(self.retries);
+            Phase::Waiting { until: now + wait, pick: true }
+        };
+    }
+}
+
+/// The flow simulator's event loop, run over a possibly hostile fabric.
 ///
 /// Flows carry a precomputed ECMP *path set* instead of a single path; a
 /// [`ChaosConfig`] supplies the failure schedule, reroute policy,
-/// retransmission model, and deadline. `run` borrows the sim immutably, so
-/// the same flow set can be replayed under many configurations.
+/// retransmission model, and deadline. [`crate::FlowSim`] is its
+/// single-path, fault-free front. `run` borrows the sim immutably, so the
+/// same flow set can be replayed under many configurations.
 ///
 /// ```
 /// use dsv3_netsim::chaos::{ChaosConfig, ChaosSim, LinkSchedule, ReroutePolicy};
@@ -436,8 +488,8 @@ struct Rt {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChaosSim {
-    links: Vec<Link>,
-    flows: Vec<ChaosFlowSpec>,
+    pub(crate) links: Vec<Link>,
+    pub(crate) flows: Vec<ChaosFlowSpec>,
 }
 
 impl ChaosSim {
@@ -496,11 +548,14 @@ impl ChaosSim {
     /// # Panics
     ///
     /// Panics if no flows were added, the schedule references an unknown
-    /// link or a non-finite instant, or `cfg.retransmit.detect_timeout_us`
-    /// is not positive (retry loops must advance time).
+    /// link or a non-finite instant, `cfg.retransmit.detect_timeout_us` is
+    /// not positive (retry loops must advance time), `backoff_max_us` is
+    /// negative or NaN (time would run backwards), or the active flows can
+    /// make no progress (all rates zero, nothing to wait for).
     #[must_use]
     pub fn run(&self, cfg: &ChaosConfig) -> ChaosReport {
-        self.run_impl(cfg, None, self.solver()).0
+        let (rt, _) = self.simulate(cfg, self.solver());
+        self.report(cfg, &rt, None)
     }
 
     /// [`ChaosSim::run`] plus telemetry: one span per flow (start to finish
@@ -515,14 +570,11 @@ impl ChaosSim {
     #[must_use]
     // lint:entry — ChaosSim event loop (link flaps + reroute under faults).
     pub fn run_traced(&self, rec: &mut Recorder, scope: &str, cfg: &ChaosConfig) -> ChaosReport {
-        if rec.is_enabled() {
-            self.run_impl(cfg, Some((rec, scope)), self.solver()).0
-        } else {
-            self.run_impl(cfg, None, self.solver()).0
-        }
+        let (rt, _) = self.simulate(cfg, self.solver());
+        self.report(cfg, &rt, rec.is_enabled().then_some((rec, scope)))
     }
 
-    fn solver(&self) -> MaxMinSolver {
+    pub(crate) fn solver(&self) -> MaxMinSolver {
         MaxMinSolver::new(&self.links, self.flows.len())
     }
 
@@ -542,6 +594,7 @@ impl ChaosSim {
         );
         assert!(cfg.retransmit.backoff_base_us >= 0.0, "backoff base must be non-negative");
         assert!(cfg.retransmit.backoff_factor >= 1.0, "backoff factor must be >= 1");
+        assert!(cfg.retransmit.backoff_max_us >= 0.0, "backoff cap must be non-negative");
         assert!(
             cfg.retransmit.inflight_window_bytes >= 0.0,
             "in-flight window must be non-negative"
@@ -551,13 +604,13 @@ impl ChaosSim {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    pub(crate) fn run_impl(
+    /// The event loop: every flow's final run state, plus the solver's
+    /// work counters.
+    pub(crate) fn simulate(
         &self,
         cfg: &ChaosConfig,
-        mut tel: Option<(&mut Recorder, &str)>,
         mut solver: MaxMinSolver,
-    ) -> (ChaosReport, SolverWork) {
+    ) -> (Vec<Rt>, SolverWork) {
         self.validate(cfg);
         let change_points = cfg.schedule.change_points_us();
         let mut rt: Vec<Rt> = self
@@ -573,173 +626,91 @@ impl ChaosSim {
                 lost: 0.0,
                 retries: 0,
                 reroutes: 0,
-                finish_us: None,
-                stranded_us: None,
             })
             .collect();
-        let n = self.flows.len();
+        // Link load is read only by adaptive placement.
+        let adaptive = cfg.policy == ReroutePolicy::Adaptive;
+        let mut link_load = vec![0u32; if adaptive { self.links.len() } else { 0 }];
+        // Step 1 has work only under a deadline, a failure schedule or
+        // adaptive placement; without them (every `FlowSim` run) its
+        // per-event pass over all flows is skipped.
+        let step1_has_work = adaptive || cfg.deadline_us.is_some() || !cfg.schedule.is_empty();
+        let mut active: Vec<FlowId> = Vec::new();
         let mut now = 0f64;
         loop {
-            // 1. Deadline aborts: any live flow past `start + deadline` is
-            // stranded at exactly its deadline instant.
-            if let Some(d) = cfg.deadline_us {
+            // 1. Per flow: a live flow past `start + deadline` is stranded at
+            // exactly its deadline instant, and an active flow whose current
+            // path just lost a link is interrupted: one in-flight window of
+            // the attempt's progress is lost and queued for retransmission,
+            // and the flow backs off (or strands). Link load counts the flows
+            // still active after that.
+            if step1_has_work {
+                link_load.fill(0);
                 for (f, r) in rt.iter_mut().enumerate() {
-                    let live = matches!(r.phase, Phase::Waiting { .. } | Phase::Active);
-                    let dl = self.flows[f].start_us + d;
-                    if live && dl <= now + EPS {
-                        solver.deactivate(f);
-                        r.phase = Phase::Stranded;
-                        r.stranded_us = Some(dl.max(self.flows[f].start_us));
+                    let spec = &self.flows[f];
+                    if let Some(d) = cfg.deadline_us {
+                        let dl = spec.start_us + d;
+                        if r.is_live() && dl <= now + EPS {
+                            solver.deactivate(f);
+                            r.phase = Phase::Stranded { at_us: dl.max(spec.start_us) };
+                        }
                     }
-                }
-            }
-            // 2. Interrupt active flows whose current path just lost a link:
-            // one in-flight window of the attempt's progress is lost and
-            // queued for retransmission; the flow backs off (or strands).
-            for (f, r) in rt.iter_mut().enumerate() {
-                if r.phase != Phase::Active
-                    || cfg.schedule.path_healthy_at(&self.flows[f].paths[r.current], now)
-                {
-                    continue;
-                }
-                solver.deactivate(f);
-                let lost = cfg.retransmit.inflight_window_bytes.min(r.attempt_sent);
-                r.remaining += lost;
-                r.lost += lost;
-                r.attempt_sent = 0.0;
-                r.path_at_fail = r.current;
-                r.retries += 1;
-                if r.retries > cfg.retransmit.max_retries {
-                    r.phase = Phase::Stranded;
-                    r.stranded_us = Some(now);
-                } else {
-                    let wait = cfg.retransmit.detect_timeout_us
-                        + cfg.retransmit.backoff_delay_us(r.retries);
-                    r.phase = Phase::Waiting { until: now + wait, pick: true };
-                }
-            }
-            // 3. Resume due waiting flows, applying the reroute policy. Link
-            // load (for adaptive placement) counts active flows and is
-            // updated as flows activate, so simultaneous resumes spread out
-            // deterministically in flow-id order.
-            let mut link_load = vec![0u32; self.links.len()];
-            for (f, r) in rt.iter().enumerate() {
-                if r.phase == Phase::Active {
-                    for &l in &self.flows[f].paths[r.current] {
-                        link_load[l] += 1;
+                    if r.phase != Phase::Active {
+                        continue;
                     }
-                }
-            }
-            for (f, r) in rt.iter_mut().enumerate() {
-                let Phase::Waiting { until, pick } = r.phase else { continue };
-                if until > now + EPS {
-                    continue;
-                }
-                let spec = &self.flows[f];
-                let activate = |r: &mut Rt, idx: usize, load: &mut [u32], paths: &[Vec<LinkId>]| {
-                    if r.retries > 0 && idx != r.path_at_fail {
-                        r.reroutes += 1;
+                    let path = &spec.paths[r.current];
+                    if cfg.schedule.path_healthy_at(path, now) {
+                        if adaptive {
+                            for &l in path {
+                                link_load[l] += 1;
+                            }
+                        }
+                        continue;
                     }
-                    r.current = idx;
+                    solver.deactivate(f);
+                    let lost = cfg.retransmit.inflight_window_bytes.min(r.attempt_sent);
+                    r.remaining += lost;
+                    r.lost += lost;
                     r.attempt_sent = 0.0;
-                    r.phase = Phase::Active;
-                    for &l in &paths[idx] {
-                        load[l] += 1;
-                    }
-                };
-                match cfg.policy {
-                    ReroutePolicy::Stall => {
-                        // Never re-picks: wait out the repair on the same path.
-                        let idx = r.current;
-                        if cfg.schedule.path_healthy_at(&spec.paths[idx], now) {
-                            activate(r, idx, &mut link_load, &spec.paths);
-                        } else {
-                            let heal = cfg.schedule.next_healthy_at(&spec.paths[idx], now);
-                            r.phase = Phase::Waiting { until: heal, pick: false };
-                        }
-                    }
-                    ReroutePolicy::StaticRehash { seed } => {
-                        let idx = if pick {
-                            (rehash(f as u64, u64::from(r.retries), seed) % spec.paths.len() as u64)
-                                as usize
-                        } else {
-                            r.current
-                        };
-                        if cfg.schedule.path_healthy_at(&spec.paths[idx], now) {
-                            activate(r, idx, &mut link_load, &spec.paths);
-                        } else {
-                            // Oblivious pick landed on a dead link: the
-                            // detection timeout burns a retry before the
-                            // next hash.
-                            r.current = idx;
-                            r.retries += 1;
-                            if r.retries > cfg.retransmit.max_retries {
-                                r.phase = Phase::Stranded;
-                                r.stranded_us = Some(now);
-                            } else {
-                                let wait = cfg.retransmit.detect_timeout_us
-                                    + cfg.retransmit.backoff_delay_us(r.retries);
-                                r.phase = Phase::Waiting { until: now + wait, pick: true };
-                            }
-                        }
-                    }
-                    ReroutePolicy::Adaptive => {
-                        // Least-loaded healthy path (max link load on the
-                        // path, ties to the lowest index).
-                        let mut best: Option<(u32, usize)> = None;
-                        for (idx, path) in spec.paths.iter().enumerate() {
-                            if !cfg.schedule.path_healthy_at(path, now) {
-                                continue;
-                            }
-                            let score = path.iter().map(|&l| link_load[l]).max().unwrap_or(0);
-                            if best.is_none_or(|(bs, _)| score < bs) {
-                                best = Some((score, idx));
-                            }
-                        }
-                        if let Some((_, idx)) = best {
-                            activate(r, idx, &mut link_load, &spec.paths);
-                        } else {
-                            // Whole path set dark: wait for the earliest heal.
-                            let heal = spec
-                                .paths
-                                .iter()
-                                .map(|p| cfg.schedule.next_healthy_at(p, now))
-                                .fold(f64::INFINITY, f64::min);
-                            r.phase = Phase::Waiting { until: heal, pick: true };
-                        }
-                    }
+                    r.path_at_fail = r.current;
+                    r.fail_attempt(&cfg.retransmit, now);
                 }
             }
-            // 4. Zero-work flows finish immediately (pure-latency messages).
+            // 2. Per flow, in id order: resume a due waiting flow under the
+            // reroute policy (adaptive placement sees the load of the flows
+            // resumed before it, so simultaneous resumes spread out
+            // deterministically), finish zero-work flows (pure-latency
+            // messages) at once, and collect the active set and the wake
+            // candidates: waiting resumes, schedule change points and
+            // live-flow deadlines.
             let mut finished_any = false;
+            let mut next_wake =
+                change_points.iter().copied().find(|&cp| cp > now + EPS).unwrap_or(f64::INFINITY);
+            active.clear();
             for (f, r) in rt.iter_mut().enumerate() {
-                if r.phase == Phase::Active && r.remaining <= EPS {
-                    r.remaining = 0.0;
-                    r.finish_us = Some(now + self.flows[f].latency_us);
-                    r.phase = Phase::Done;
-                    finished_any = true;
+                if matches!(r.phase, Phase::Waiting { until, .. } if until <= now + EPS) {
+                    self.resume(cfg, f, r, now, &mut link_load);
+                }
+                match r.phase {
+                    Phase::Active if r.remaining <= EPS => {
+                        r.remaining = 0.0;
+                        r.phase = Phase::Done { at_us: now + self.flows[f].latency_us };
+                        finished_any = true;
+                    }
+                    Phase::Active => active.push(f),
+                    Phase::Waiting { until, .. } => next_wake = next_wake.min(until),
+                    Phase::Done { .. } | Phase::Stranded { .. } => {}
+                }
+                if let Some(d) = cfg.deadline_us {
+                    let dl = self.flows[f].start_us + d;
+                    if r.is_live() && dl > now + EPS {
+                        next_wake = next_wake.min(dl);
+                    }
                 }
             }
             if finished_any {
                 continue;
             }
-            // 5. Wake candidates: waiting resumes, schedule change points,
-            // and live-flow deadlines.
-            let mut next_wake =
-                change_points.iter().copied().find(|&cp| cp > now + EPS).unwrap_or(f64::INFINITY);
-            for (f, r) in rt.iter().enumerate() {
-                if let Phase::Waiting { until, .. } = r.phase {
-                    next_wake = next_wake.min(until);
-                }
-                if let Some(d) = cfg.deadline_us {
-                    let live = matches!(r.phase, Phase::Waiting { .. } | Phase::Active);
-                    let dl = self.flows[f].start_us + d;
-                    if live && dl > now + EPS {
-                        next_wake = next_wake.min(dl);
-                    }
-                }
-            }
-            let active: Vec<usize> = (0..n).filter(|&f| rt[f].phase == Phase::Active).collect();
             if active.is_empty() {
                 if next_wake.is_finite() {
                     now = next_wake;
@@ -747,8 +718,8 @@ impl ChaosSim {
                 }
                 break;
             }
-            // 6. Max-min rates over the active flows' current paths (the
-            // solver shared with FlowSim re-solves only the components an
+            // 3. Max-min rates over the active flows' current paths (the
+            // incremental solver re-solves only the components an
             // activation or stop touched), then advance to the nearest
             // horizon.
             for &f in &active {
@@ -761,7 +732,7 @@ impl ChaosSim {
             for &f in &active {
                 let rate = solver.rate(f);
                 if rate > 0.0 {
-                    // 1 GB/s = 1000 B/µs, as in FlowSim::run.
+                    // 1 GB/s = 1e9 B / 1e6 µs = 1000 B/µs.
                     let us = rt[f].remaining / (rate * 1000.0);
                     next_done = next_done.min(now + us);
                 }
@@ -777,8 +748,7 @@ impl ChaosSim {
                 r.sent += moved;
                 if r.remaining <= EPS.max(1e-6 * moved) {
                     r.remaining = 0.0;
-                    r.finish_us = Some(horizon + self.flows[f].latency_us);
-                    r.phase = Phase::Done;
+                    r.phase = Phase::Done { at_us: horizon + self.flows[f].latency_us };
                     solver.deactivate(f);
                 }
             }
@@ -788,17 +758,88 @@ impl ChaosSim {
         // repair times non-finite and no deadline) are stranded where the
         // simulation stopped making progress.
         for r in &mut rt {
-            if matches!(r.phase, Phase::Waiting { .. } | Phase::Active) {
-                r.phase = Phase::Stranded;
-                r.stranded_us = Some(now);
+            if r.is_live() {
+                r.phase = Phase::Stranded { at_us: now };
             }
         }
+        (rt, solver.work)
+    }
+
+    /// Resume the due waiting flow `f` under the reroute policy: it goes
+    /// active, waits for a repair, or burns a retry on a dead pick.
+    fn resume(&self, cfg: &ChaosConfig, f: FlowId, r: &mut Rt, now: f64, link_load: &mut [u32]) {
+        let Phase::Waiting { pick, .. } = r.phase else { return };
+        let paths = &self.flows[f].paths;
+        match cfg.policy {
+            ReroutePolicy::Stall => {
+                // Never re-picks: wait out the repair on the same path.
+                let idx = r.current;
+                if cfg.schedule.path_healthy_at(&paths[idx], now) {
+                    r.activate(idx);
+                } else {
+                    let heal = cfg.schedule.next_healthy_at(&paths[idx], now);
+                    r.phase = Phase::Waiting { until: heal, pick: false };
+                }
+            }
+            ReroutePolicy::StaticRehash { seed } => {
+                let idx = if pick {
+                    (rehash(f as u64, u64::from(r.retries), seed) % paths.len() as u64) as usize
+                } else {
+                    r.current
+                };
+                if cfg.schedule.path_healthy_at(&paths[idx], now) {
+                    r.activate(idx);
+                } else {
+                    // Oblivious pick landed on a dead link: the detection
+                    // timeout burns a retry before the next hash.
+                    r.current = idx;
+                    r.fail_attempt(&cfg.retransmit, now);
+                }
+            }
+            ReroutePolicy::Adaptive => {
+                // Least-loaded healthy path (max link load on the path, ties
+                // to the lowest index).
+                let mut best: Option<(u32, usize)> = None;
+                for (idx, path) in paths.iter().enumerate() {
+                    if !cfg.schedule.path_healthy_at(path, now) {
+                        continue;
+                    }
+                    let score = path.iter().map(|&l| link_load[l]).max().unwrap_or(0);
+                    if best.is_none_or(|(bs, _)| score < bs) {
+                        best = Some((score, idx));
+                    }
+                }
+                if let Some((_, idx)) = best {
+                    r.activate(idx);
+                    for &l in &paths[idx] {
+                        link_load[l] += 1;
+                    }
+                } else {
+                    // Whole path set dark: wait for the earliest heal.
+                    let heal = paths
+                        .iter()
+                        .map(|p| cfg.schedule.next_healthy_at(p, now))
+                        .fold(f64::INFINITY, f64::min);
+                    r.phase = Phase::Waiting { until: heal, pick: true };
+                }
+            }
+        }
+    }
+
+    /// Assemble the [`ChaosReport`] from the loop's final run state, and
+    /// record the run's telemetry when `tel` is given.
+    pub(crate) fn report(
+        &self,
+        cfg: &ChaosConfig,
+        rt: &[Rt],
+        tel: Option<(&mut Recorder, &str)>,
+    ) -> ChaosReport {
         let flows: Vec<ChaosFlowOutcome> = rt
             .iter()
             .zip(&self.flows)
             .map(|(r, spec)| ChaosFlowOutcome {
-                finish_us: r.finish_us,
-                stranded_us: r.stranded_us,
+                finish_us: r.finish_us(),
+                stranded_us: r.stranded_us(),
                 delivered_bytes: spec.bytes - r.remaining,
                 lost_bytes: r.lost,
                 sent_bytes: r.sent,
@@ -819,7 +860,7 @@ impl ChaosSim {
             flows,
             makespan_us,
         };
-        if let Some((rec, scope)) = tel.as_mut() {
+        if let Some((rec, scope)) = tel {
             let pid = rec.process(&format!("{scope}/chaos"));
             let links_tid = rec.thread(pid, "links");
             for flap in &cfg.schedule.flaps {
@@ -879,8 +920,19 @@ impl ChaosSim {
             );
             rec.counter_add(&format!("{scope}.chaos.link_failures"), report.link_failures as u64);
         }
-        (report, solver.work)
+        report
     }
+}
+
+/// The `add_flow` time checks: a NaN or infinite start would leave a flow
+/// neither pending nor active, and a NaN latency would poison its finish
+/// time.
+fn check_times(start_us: f64, latency_us: f64) {
+    assert!(start_us.is_finite() && start_us >= 0.0, "start_us must be finite and non-negative");
+    assert!(
+        latency_us.is_finite() && latency_us >= 0.0,
+        "latency_us must be finite and non-negative"
+    );
 }
 
 /// SplitMix64-style avalanche over (flow, attempt, seed) — the oblivious
@@ -909,7 +961,6 @@ fn exponential(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowSim;
 
     fn links(caps: &[f64]) -> Vec<Link> {
         caps.iter().map(|&c| Link { capacity_gbps: c }).collect()
@@ -998,46 +1049,6 @@ mod tests {
         let again = LinkSchedule::fail_fraction(&candidates, 0.25, 3, 5.0, 100.0);
         assert_eq!(s, again);
         assert!(LinkSchedule::fail_fraction(&candidates, 0.0, 3, 5.0, 100.0).is_empty());
-    }
-
-    /// The acceptance-criterion identity: with an empty schedule, no
-    /// deadline, and single-path flows, the chaos engine's report is
-    /// bit-identical to `FlowSim::run` — for every policy.
-    #[test]
-    fn empty_schedule_bit_identical_to_flowsim() {
-        let caps = [40.0, 100.0, 25.0];
-        let flows: [(Vec<LinkId>, f64, f64, f64); 5] = [
-            (vec![0, 1], 1e6, 0.0, 3.0),
-            (vec![0], 2.5e6, 0.0, 0.5),
-            (vec![1, 2], 7e5, 12.0, 1.0),
-            (vec![2], 0.0, 5.0, 2.8), // pure-latency message
-            (vec![0, 2], 3e6, 40.0, 0.0),
-        ];
-        let mut fs = FlowSim::new(links(&caps));
-        for (path, bytes, start, lat) in &flows {
-            fs.add_flow(path.clone(), *bytes, *start, *lat);
-        }
-        let want = fs.run();
-        for policy in [
-            ReroutePolicy::Stall,
-            ReroutePolicy::StaticRehash { seed: 99 },
-            ReroutePolicy::Adaptive,
-        ] {
-            let mut cs = ChaosSim::new(links(&caps));
-            for (path, bytes, start, lat) in &flows {
-                cs.add_flow(vec![path.clone()], *bytes, *start, *lat);
-            }
-            let report = cs.run(&ChaosConfig { policy, ..ChaosConfig::default() });
-            assert_eq!(report.stranded, 0);
-            assert_eq!(report.retransmitted_bytes, 0.0);
-            assert_eq!(report.total_reroutes, 0);
-            let got = report.to_sim_report().expect("all complete");
-            assert_eq!(got.finish_us.len(), want.finish_us.len());
-            for (a, b) in got.finish_us.iter().zip(&want.finish_us) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-            }
-            assert_eq!(got.makespan_us.to_bits(), want.makespan_us.to_bits());
-        }
     }
 
     #[test]
@@ -1259,6 +1270,22 @@ mod tests {
         let cfg = ChaosConfig {
             schedule: LinkSchedule::fail_links(&[9], 0.0, 1.0),
             ..ChaosConfig::default()
+        };
+        let _ = sim.run(&cfg);
+    }
+
+    /// A negative backoff cap would make `detect_timeout + backoff` negative
+    /// and schedule the retry before the failure.
+    #[test]
+    #[should_panic(expected = "backoff cap must be non-negative")]
+    fn negative_backoff_cap_panics() {
+        let mut sim = ChaosSim::new(links(&[50.0, 50.0]));
+        sim.add_flow(vec![vec![0], vec![0]], 1e6, 0.0, 0.0);
+        let cfg = ChaosConfig {
+            schedule: LinkSchedule::fail_links(&[0], 5.0, 1000.0),
+            policy: ReroutePolicy::StaticRehash { seed: 1 },
+            retransmit: RetransmitConfig { backoff_max_us: -500.0, ..RetransmitConfig::default() },
+            deadline_us: None,
         };
         let _ = sim.run(&cfg);
     }

@@ -7,13 +7,14 @@
 //! (progressive filling); the simulation advances between flow arrival and
 //! completion events.
 //!
-//! * [`sim`] — the simulator core ([`sim::FlowSim`]). Its event loop and
-//!   the chaos engine's share one incremental max-min solver: bottlenecks
+//! * [`sim`] — single-path flows on a healthy fabric ([`sim::FlowSim`]),
+//!   a front that runs the chaos engine's event loop with no faults.
+//! * [`chaos`] — the event loop itself ([`chaos::ChaosSim`]): ECMP path
+//!   sets, seeded link up/down schedules, reroute policies (stall / static
+//!   rehash / adaptive), and timeout + backoff retransmission (§5,
+//!   Figures 5–8). It drives one incremental max-min solver: bottlenecks
 //!   come from a heap, and an event re-solves only the connected
 //!   components of flows it touched, bit-identically to a global re-solve.
-//! * [`chaos`] — the fault-tolerant layer ([`chaos::ChaosSim`]): seeded
-//!   link up/down schedules, reroute policies (stall / static rehash /
-//!   adaptive), and timeout + backoff retransmission (§5, Figures 5–8).
 //! * [`latency`] — per-hop latency parameters calibrated so end-to-end 64B
 //!   latencies reproduce Table 5 (IB / RoCE / NVLink, same- and cross-leaf).
 //! * [`ordering`] — memory-semantic ordering: sender fences vs hardware

@@ -1,7 +1,7 @@
-//! The incremental max-min fair rate solver shared by [`crate::FlowSim`]
-//! and [`crate::chaos::ChaosSim`].
+//! The incremental max-min fair rate solver behind the flow event loop
+//! of [`crate::chaos::ChaosSim`] (which [`crate::FlowSim`] runs too).
 //!
-//! Both event loops tell the solver which flows are active on which path
+//! The loop tells the solver which flows are active on which path
 //! ([`MaxMinSolver::activate`] / [`MaxMinSolver::deactivate`]) and call
 //! [`MaxMinSolver::solve`] before reading rates. A solve re-runs
 //! progressive filling only over the *connected components* (flows linked

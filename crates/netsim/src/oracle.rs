@@ -3,9 +3,9 @@
 //!
 //! [`max_min_rates_for`] is the original progressive-filling kernel (a
 //! full link scan per bottleneck) and [`run_global`] the original
-//! [`crate::FlowSim`] event loop, which re-solves every active flow at
-//! every event. Differential tests compare the fast path against both by
-//! `to_bits`.
+//! single-path event loop, which re-solves every active flow at every
+//! event. Differential tests compare the one event loop (`ChaosSim`'s,
+//! which `FlowSim` runs) and its solver against both by `to_bits`.
 
 use crate::sim::{FlowId, Link, LinkId, SimReport};
 
@@ -71,8 +71,8 @@ struct FlowState {
     finish_us: Option<f64>,
 }
 
-/// The original `FlowSim::run`: a global [`max_min_rates_for`] re-solve
-/// over all active flows at every event.
+/// The original single-path `FlowSim::run` loop: a global
+/// [`max_min_rates_for`] re-solve over all active flows at every event.
 pub(crate) fn run_global(links: &[Link], specs: &[OracleFlow]) -> SimReport {
     let mut flows: Vec<FlowState> = specs
         .iter()
@@ -334,10 +334,47 @@ mod tests {
                     deadline_us: rng.gen_bool(0.3).then_some(150.0),
                 };
                 let n = sim.flow_count();
-                let (got, _) = sim.run_impl(&cfg, None, MaxMinSolver::new(&links, n));
-                let (want, _) = sim.run_impl(&cfg, None, MaxMinSolver::global_oracle(&links, n));
-                assert_reports_bit_identical(&got, &want);
+                let run = |solver| sim.report(&cfg, &sim.simulate(&cfg, solver).0, None);
+                let want = run(MaxMinSolver::global_oracle(&links, n));
+                assert_reports_bit_identical(&run(MaxMinSolver::new(&links, n)), &want);
             }
+        }
+    }
+
+    /// With an empty schedule, no deadline and single-path flows, the event
+    /// loop reproduces the global re-solve reference bit-for-bit under every
+    /// policy.
+    #[test]
+    fn empty_schedule_bit_identical_to_global_resolve() {
+        let links: Vec<Link> =
+            [40.0, 100.0, 25.0].iter().map(|&c| Link { capacity_gbps: c }).collect();
+        let flows: Vec<OracleFlow> = [
+            (vec![0, 1], 1e6, 0.0, 3.0),
+            (vec![0], 2.5e6, 0.0, 0.5),
+            (vec![1, 2], 7e5, 12.0, 1.0),
+            (vec![2], 0.0, 5.0, 2.8), // pure-latency message
+            (vec![0, 2], 3e6, 40.0, 0.0),
+        ]
+        .into_iter()
+        .map(|(path, bytes, start_us, latency_us)| OracleFlow { path, bytes, start_us, latency_us })
+        .collect();
+        let want = run_global(&links, &flows);
+        for policy in [
+            ReroutePolicy::Stall,
+            ReroutePolicy::StaticRehash { seed: 99 },
+            ReroutePolicy::Adaptive,
+        ] {
+            let mut sim = ChaosSim::new(links.clone());
+            for f in &flows {
+                sim.add_flow(vec![f.path.clone()], f.bytes, f.start_us, f.latency_us);
+            }
+            let report = sim.run(&ChaosConfig { policy, ..ChaosConfig::default() });
+            assert_eq!(report.stranded, 0);
+            assert_eq!(report.retransmitted_bytes, 0.0);
+            assert_eq!(report.total_reroutes, 0);
+            let got = report.to_sim_report().expect("all complete");
+            assert_eq!(bits(&got.finish_us), bits(&want.finish_us));
+            assert_eq!(got.makespan_us.to_bits(), want.makespan_us.to_bits());
         }
     }
 
@@ -355,7 +392,7 @@ mod tests {
         for _ in 0..3 {
             sim.add_flow(vec![1], 9e6, 0.0, 0.0);
         }
-        let (report, work) = sim.run_impl(None);
+        let (report, work) = sim.run_impl();
         assert_eq!(report.finish_us, vec![20.0, 30.0, 270.0, 270.0, 270.0]);
         assert_eq!(work, SolverWork { solves: 2, flows_resolved: 6 });
     }
@@ -403,7 +440,7 @@ mod tests {
             }
         }
         assert_eq!(flows.len(), 320);
-        let (report, work) = flow_sim(&links, &flows).run_impl(None);
+        let (report, work) = flow_sim(&links, &flows).run_impl();
         assert_eq!(bits(&report.finish_us), bits(&run_global(&links, &flows).finish_us));
         assert_eq!(work, SolverWork { solves: 192, flows_resolved: 5_953 });
         // The same round with a global re-solve at every event.
@@ -412,7 +449,7 @@ mod tests {
             chaos.add_flow(vec![f.path.clone()], f.bytes, f.start_us, f.latency_us);
         }
         let oracle = MaxMinSolver::global_oracle(&links, flows.len());
-        let (_, global) = chaos.run_impl(&ChaosConfig::default(), None, oracle);
+        let (_, global) = chaos.simulate(&ChaosConfig::default(), oracle);
         assert_eq!(global, SolverWork { solves: 202, flows_resolved: 40_861 });
     }
 }

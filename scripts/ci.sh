@@ -88,6 +88,12 @@ scripts/bench_gate.sh run lint
 echo "==> bench gate: degenerate resilience walk within 1.2x of simulate_goodput"
 scripts/bench_gate.sh run resilience
 
+echo "==> bench gate: memory-timeline walker, no >25% regression"
+scripts/bench_gate.sh run memtl
+
+echo "==> bench gate: overload sweep, no >25% regression"
+scripts/bench_gate.sh run overload
+
 echo "==> benchmark correctness: fp8-train at seeds 17 and 23, deepep at seeds 7 and 8, registry-rest"
 # dsv3-bench checks every operation's output against the digests in
 # perfbench/golden/: this pins the 30-step training reports at both seeds,
