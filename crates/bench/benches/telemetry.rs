@@ -5,11 +5,23 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsv3_core::serving::{
-    run, run_with_faults_traced, ArrivalProcess, RouterPolicy, ServingSimConfig,
+    run, run_overload_traced, ArrivalProcess, OverloadConfig, OverloadServingReport, RouterPolicy,
+    ServingSimConfig,
 };
 use dsv3_core::telemetry::Recorder;
 use dsv3_core::{faults::FaultPlan, faults::RecoveryPolicy};
 use std::hint::black_box;
+
+/// The engine's traced loop with the overload layer off: what the
+/// traceable experiments run.
+fn traced(
+    cfg: &ServingSimConfig,
+    empty: &FaultPlan,
+    policy: &RecoveryPolicy,
+    rec: &mut Recorder,
+) -> OverloadServingReport {
+    run_overload_traced(cfg, empty, policy, &OverloadConfig::disabled(), rec, "bench")
+}
 
 /// Coarse guard on the disabled-recorder contract: threading a disabled
 /// recorder through the engine must not meaningfully slow it down. The
@@ -30,7 +42,7 @@ fn assert_disabled_overhead_negligible(
     let t1 = std::time::Instant::now();
     for _ in 0..iters {
         let mut rec = Recorder::disabled();
-        black_box(run_with_faults_traced(cfg, empty, policy, &mut rec, "bench"));
+        black_box(traced(cfg, empty, policy, &mut rec));
     }
     let disabled = t1.elapsed();
     let ratio = disabled.as_secs_f64() / plain.as_secs_f64().max(1e-9);
@@ -57,13 +69,13 @@ fn bench_telemetry(c: &mut Criterion) {
     g.bench_function("serve_300_disabled_recorder", |b| {
         b.iter(|| {
             let mut rec = Recorder::disabled();
-            black_box(run_with_faults_traced(&cfg, &empty, &policy, &mut rec, "bench"))
+            black_box(traced(&cfg, &empty, &policy, &mut rec))
         })
     });
     g.bench_function("serve_300_enabled_recorder", |b| {
         b.iter(|| {
             let mut rec = Recorder::new();
-            black_box(run_with_faults_traced(&cfg, &empty, &policy, &mut rec, "bench"))
+            black_box(traced(&cfg, &empty, &policy, &mut rec))
         })
     });
 

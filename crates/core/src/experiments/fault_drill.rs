@@ -21,8 +21,8 @@ use crate::report::{fmt, Table};
 use dsv3_faults::{simulate_goodput, FaultPlan, FaultPlanConfig, RecoveryPolicy};
 use dsv3_model::availability::AvailabilityModel;
 use dsv3_serving::{
-    run_with_faults, run_with_faults_traced, ArrivalProcess, FaultyServingReport, RouterPolicy,
-    ServingReport, ServingSimConfig,
+    run_overload_traced, run_with_faults, ArrivalProcess, FaultyServingReport, OverloadConfig,
+    RouterPolicy, ServingReport, ServingSimConfig,
 };
 use dsv3_telemetry::Recorder;
 use dsv3_units::s_to_ms;
@@ -147,21 +147,19 @@ pub fn run_seeded(seed: u64) -> FaultDrillReport {
 #[must_use]
 pub fn run_seeded_traced(seed: u64, rec: &mut Recorder) -> FaultDrillReport {
     let cfg = scenario();
-    let healthy = run_with_faults_traced(
-        &cfg,
-        &FaultPlan::healthy(),
-        &RecoveryPolicy::default(),
-        rec,
-        "healthy",
-    )
-    .serving;
+    let ov = OverloadConfig::disabled();
+    let mut traced = |plan: &FaultPlan, policy: &RecoveryPolicy, scope: &str| {
+        let r = run_overload_traced(&cfg, plan, policy, &ov, rec, scope);
+        FaultyServingReport { serving: r.serving, faults: r.faults }
+    };
+    let healthy = traced(&FaultPlan::healthy(), &RecoveryPolicy::default(), "healthy").serving;
     let empty = run_with_faults(&cfg, &FaultPlan::healthy(), &RecoveryPolicy::default());
     let empty_plan_identical =
         crate::report::json_or_null(&healthy) == crate::report::json_or_null(&empty.serving);
 
     let plan = FaultPlan::generate(&plan_config(seed));
-    let faulty = run_with_faults_traced(&cfg, &plan, &RecoveryPolicy::default(), rec, "faulty");
-    let hedged = run_with_faults_traced(&cfg, &plan, &RecoveryPolicy::hedged(), rec, "hedged");
+    let faulty = traced(&plan, &RecoveryPolicy::default(), "faulty");
+    let hedged = traced(&plan, &RecoveryPolicy::hedged(), "hedged");
 
     let availability = [1.0, 6.0, 24.0]
         .iter()

@@ -11,7 +11,7 @@
 use crate::report::{fmt, Table};
 use dsv3_faults::{FaultPlan, FaultPlanConfig, RecoveryPolicy};
 use dsv3_serving::{
-    run as simulate, run_traced, run_with_faults_traced, ArrivalProcess, RouterPolicy,
+    run as simulate, run_overload_traced, ArrivalProcess, OverloadConfig, RouterPolicy,
     ServingReport, ServingSimConfig,
 };
 use dsv3_telemetry::Recorder;
@@ -79,9 +79,15 @@ pub fn config_json() -> String {
 /// to [`run`]'s (the overlay never touches it), enforced by test.
 #[must_use]
 pub fn run_instrumented(rec: &mut Recorder) -> ServingComparison {
-    let unified = run_traced(&scenario(RouterPolicy::Unified), rec, "unified");
-    let disaggregated = run_traced(
+    let (policy, ov) = (RecoveryPolicy::default(), OverloadConfig::disabled());
+    let traced = |cfg: &ServingSimConfig, plan: &FaultPlan, rec: &mut Recorder, scope: &str| {
+        run_overload_traced(cfg, plan, &policy, &ov, rec, scope).serving
+    };
+    let healthy = FaultPlan::healthy();
+    let unified = traced(&scenario(RouterPolicy::Unified), &healthy, rec, "unified");
+    let disaggregated = traced(
         &scenario(RouterPolicy::Disaggregated { prefill_fraction: 0.7 }),
+        &healthy,
         rec,
         "disaggregated",
     );
@@ -96,13 +102,7 @@ pub fn run_instrumented(rec: &mut Recorder) -> ServingComparison {
         flap_repair_ms: 5_000.0,
         ..FaultPlanConfig::default()
     });
-    let _ = run_with_faults_traced(
-        &scenario(RouterPolicy::Unified),
-        &overlay_plan,
-        &RecoveryPolicy::default(),
-        rec,
-        "fault-overlay",
-    );
+    let _ = traced(&scenario(RouterPolicy::Unified), &overlay_plan, rec, "fault-overlay");
     ServingComparison { arrival_rps: 8.0, burstiness: 32.0, unified, disaggregated }
 }
 

@@ -14,21 +14,24 @@
 //! statistics of `dsv3_model::mtp` (draft-verification compute is folded
 //! into `step_overhead`, matching `mtp::tps_speedup`'s cost model).
 //!
-//! Faults arrive during a run through [`run_with_faults`]: a
-//! `dsv3_faults::FaultPlan` timeline drives replica crashes (in-flight KV
-//! lost, requeue-and-re-prefill with exponential backoff, optional
-//! hedging), plane flaps (steps run at the degraded speed limit given by
-//! `collectives::failures` retention), stragglers, and SDC strikes. The
-//! fault path is strictly additive: with an empty plan every fault branch
-//! is dead and [`run`] produces its report byte-for-byte.
+//! Faults arrive during a run through a `dsv3_faults::FaultPlan`
+//! timeline: replica crashes (in-flight KV lost, requeue-and-re-prefill
+//! with exponential backoff, optional hedging), plane flaps (steps run at
+//! the degraded speed limit given by `collectives::failures` retention),
+//! stragglers, and SDC strikes. The fault path is strictly additive: with
+//! an empty plan every fault branch is dead.
 //!
-//! Overload robustness arrives through [`run_overload`]: admission
+//! Overload robustness arrives through an [`OverloadConfig`]: admission
 //! control (queue bound, token bucket, deadline predictor), a
 //! graceful-degradation ladder, closed-loop clients with timeouts and
 //! jittered-backoff retries, and reactive pool autoscaling — see
 //! [`crate::overload`] and [`crate::autoscale`]. The overload path is
 //! additive the same way: with [`OverloadConfig::disabled`] every branch
-//! is dead and the report is byte-identical to [`run_with_faults`]'s.
+//! is dead.
+//!
+//! [`run_overload_traced`] is the one simulation loop. [`run_overload`]
+//! runs it with a disabled recorder, [`run_with_faults`] also with the
+//! overload layer disabled, and [`run`] also with an empty fault plan.
 //!
 //! Everything is driven by seeded RNG and ordered containers, so equal
 //! configs produce byte-identical reports.
@@ -51,7 +54,8 @@ use dsv3_units::{ms_to_s, ms_to_us};
 use crate::autoscale::{AutoscaleState, AutoscaleStats};
 use crate::metrics::Summary;
 use crate::overload::{
-    GoodputWindow, LadderState, OverloadConfig, OverloadServingReport, OverloadStats, TokenBucket,
+    ClientConfig, GoodputWindow, LadderState, OverloadConfig, OverloadServingReport, OverloadStats,
+    TokenBucket,
 };
 use crate::router::RouterPolicy;
 use crate::workload::{self, ArrivalProcess, LengthDistribution, Request, WorkloadConfig};
@@ -323,6 +327,16 @@ enum Prefill {
     Unified { backlog: VecDeque<(Job, f64)>, rate: f64 },
 }
 
+impl Prefill {
+    /// How long the prefill work already queued takes to clear.
+    fn wait_ms(&self, now_ms: f64) -> f64 {
+        match self {
+            Prefill::Disaggregated { station_free_ms, .. } => (station_free_ms - now_ms).max(0.0),
+            Prefill::Unified { backlog, rate } => backlog.iter().map(|(_, t)| t / *rate).sum(),
+        }
+    }
+}
+
 /// Hand a job (fresh arrival or crash requeue) to the prefill stage.
 /// `at_ms` is when it enters the station — the true arrival time for new
 /// requests, the retry-release time for requeues — and `tokens` is the
@@ -349,12 +363,12 @@ fn enqueue_prefill(
     }
 }
 
-/// Trace-track label for a job ("req{id}", hedge clones suffixed).
-fn req_label(job: &Job) -> String {
-    if job.clone_tag == 1 {
-        format!("req{}.hedge", job.rid())
+/// Trace-track label of request `rid` ("req{id}", hedge clones suffixed).
+fn req_label(rid: usize, clone_tag: u8) -> String {
+    if clone_tag == 1 {
+        format!("req{rid}.hedge")
     } else {
-        format!("req{}", job.rid())
+        format!("req{rid}")
     }
 }
 
@@ -454,28 +468,312 @@ impl Injectable for FaultState {
     }
 }
 
+/// Per-request bookkeeping, one row per request id. `live` counts copies
+/// (original and hedge clone) anywhere in the system; `done` flips exactly
+/// once, when the request completes, drops, or is rejected.
+#[derive(Clone, Default)]
+struct ReqState {
+    /// The request as generated (closed-loop clients only), resubmitted
+    /// verbatim on retry so latency charges the client's full wait.
+    info: Option<Request>,
+    /// The client's current attempt; copies of older ones are zombies.
+    attempt: u32,
+    retries: u32,
+    prev_backoff: f64,
+    crash_prev_backoff: f64,
+    /// The current attempt has streamed a token: safe from its timeout.
+    streaming: bool,
+    done: bool,
+    live: u8,
+    hedged: bool,
+    crashes: u32,
+    /// An undetected SDC corrupted this request's output.
+    corrupted: bool,
+    /// TTFT already sampled, by whichever copy streamed first.
+    ttft_recorded: bool,
+}
+
+/// Insert `item` into a queue kept sorted by release time, after every
+/// entry due at the same time: equal times release in insertion order.
+fn schedule<T>(queue: &mut Vec<(f64, T)>, at: f64, item: T) {
+    let pos = queue.partition_point(|(t, _)| *t <= at);
+    queue.insert(pos, (at, item));
+}
+
+/// The client timed this copy's attempt out: it is a zombie.
+fn zombie(job: &Job, reqs: &[ReqState], clients: Option<&ClientConfig>) -> bool {
+    clients.is_some() && job.attempt != reqs[job.rid()].attempt
+}
+
+/// Cancel-on-sight check for a copy the engine touches: `cancel` once its
+/// request is settled (a sibling finished, or the client gave up),
+/// `cancel-zombie` once its client timed this attempt out.
+fn stale(job: &Job, reqs: &[ReqState], clients: Option<&ClientConfig>) -> Option<&'static str> {
+    if reqs[job.rid()].done {
+        Some("cancel")
+    } else if zombie(job, reqs, clients) {
+        Some("cancel-zombie")
+    } else {
+        None
+    }
+}
+
+/// Decode-queue cost of one ready slot: a smoothed step per mean output
+/// token, shared across the admission cap (0 before the first step).
+fn per_slot_ms(ewma_step_ms: f64, mean_tokens: f64, cap: usize) -> f64 {
+    if ewma_step_ms > 0.0 {
+        ewma_step_ms * mean_tokens / cap.max(1) as f64
+    } else {
+        0.0
+    }
+}
+
+/// The goodput-timeline window `[offered, completed, good]` holding
+/// `t_ms`, grown on demand.
+fn window(windows: &mut Vec<[usize; 3]>, t_ms: f64, window_ms: f64) -> &mut [usize; 3] {
+    let w = (t_ms / window_ms) as usize;
+    if windows.len() <= w {
+        windows.resize(w + 1, [0; 3]);
+    }
+    &mut windows[w]
+}
+
+/// Telemetry for one run: the recorder, its tracks, and the metric and
+/// series names, built once per run. Every method starts with the one
+/// `on` check, so a disabled recorder costs a branch per emission site.
+struct Sink<'a> {
+    rec: &'a mut Recorder,
+    on: bool,
+    scope: &'a str,
+    pid_engine: u64,
+    pid_req: u64,
+    pid_faults: u64,
+    /// Engine track of the overload layer's instants (created only when
+    /// the layer is on, as are its samples and `ov_*` totals).
+    tid_engine: u64,
+    ov_any: bool,
+    slo: SloConfig,
+    /// Batch size, queue depth, KV occupancy: counter samples and series.
+    samples: [String; 3],
+    /// Active rung, live decode and prefill pools (overload layer only).
+    pools: [String; 3],
+    latency: [String; 3],
+    offered: String,
+    /// TTFT met, TPOT met, both met (and uncorrupted): the SLO series.
+    slo_ok: [String; 3],
+    replicas: Vec<String>,
+}
+
+impl<'a> Sink<'a> {
+    fn new(rec: &'a mut Recorder, scope: &'a str, ov_any: bool, slo: SloConfig) -> Self {
+        let on = rec.is_enabled();
+        let (pid_engine, pid_req, pid_faults) = if on {
+            (
+                rec.process(&format!("{scope}/engine")),
+                rec.process(&format!("{scope}/requests")),
+                rec.process(&format!("{scope}/faults")),
+            )
+        } else {
+            (0, 0, 0)
+        };
+        let tid_engine = if on && ov_any { rec.thread(pid_engine, "engine") } else { 0 };
+        let name = |m: &str| format!("{scope}.{m}");
+        Self {
+            rec,
+            on,
+            scope,
+            pid_engine,
+            pid_req,
+            pid_faults,
+            tid_engine,
+            ov_any,
+            slo,
+            samples: ["batch_size", "queue_depth", "kv_utilization"].map(name),
+            pools: ["rung", "decode_replicas", "prefill_replicas"].map(name),
+            latency: ["ttft_ms", "tpot_ms", "e2e_ms"].map(name),
+            offered: name("offered"),
+            slo_ok: ["slo.ttft_ok", "slo.tpot_ok", "slo.good"].map(name),
+            replicas: Vec::new(),
+        }
+    }
+
+    /// Instant `name` on request `rid`'s track (`clone_tag` 1: the hedge
+    /// clone's).
+    #[inline]
+    fn mark(&mut self, rid: usize, clone_tag: u8, name: &str, now_ms: f64) {
+        if self.on {
+            let tid = self.rec.thread(self.pid_req, &req_label(rid, clone_tag));
+            self.rec.instant(self.pid_req, tid, "request", name, ms_to_us(now_ms));
+        }
+    }
+
+    /// Close `job`'s decode span (if it was decoding), then mark `name`.
+    #[inline]
+    fn close_and_mark(&mut self, job: &Job, name: &str, now_ms: f64) {
+        if self.on {
+            let tid = self.rec.thread(self.pid_req, &req_label(job.rid(), job.clone_tag));
+            if job.admitted_ms.is_finite() {
+                let start = ms_to_us(job.admitted_ms);
+                self.rec.span(self.pid_req, tid, "request", "decode", start, ms_to_us(now_ms));
+            }
+            self.rec.instant(self.pid_req, tid, "request", name, ms_to_us(now_ms));
+        }
+    }
+
+    /// Instant on the engine track (overload-layer decisions).
+    #[inline]
+    fn engine(&mut self, cat: &str, name: impl std::fmt::Display, now_ms: f64) {
+        if self.on {
+            let name = name.to_string();
+            self.rec.instant(self.pid_engine, self.tid_engine, cat, &name, ms_to_us(now_ms));
+        }
+    }
+
+    /// A fresh arrival (client retries re-enter elsewhere), so this series
+    /// is the *offered* load the metastability detector compares goodput
+    /// against.
+    #[inline]
+    fn offered(&mut self, at_ms: f64) {
+        if self.on {
+            self.rec.series(&self.offered, at_ms, 1.0);
+        }
+    }
+
+    /// `job` joined the batch: its prefill span (if it prefilled on the
+    /// way) and its queued span.
+    #[inline]
+    fn admitted(&mut self, job: &Job, now_ms: f64) {
+        if self.on {
+            let tid = self.rec.thread(self.pid_req, &req_label(job.rid(), job.clone_tag));
+            let (ready, now) = (ms_to_us(job.ready_ms), ms_to_us(now_ms));
+            if job.prefill_enter_ms.is_finite() {
+                let enter = ms_to_us(job.prefill_enter_ms);
+                self.rec.span(self.pid_req, tid, "request", "prefill", enter, ready);
+            }
+            self.rec.span(self.pid_req, tid, "request", "queued", ready, now);
+        }
+    }
+
+    /// `job` completed: close and mark it, then sample its latencies and
+    /// SLO verdicts.
+    #[inline]
+    fn complete(&mut self, job: &Job, now_ms: f64, ttft: f64, tpot: f64, e2e: f64, good: bool) {
+        if self.on {
+            self.close_and_mark(job, "complete", now_ms);
+            let ok = |pass: bool| if pass { 1.0 } else { 0.0 };
+            let [m_ttft, m_tpot, m_e2e] = &self.latency;
+            let [s_ttft, s_tpot, s_good] = &self.slo_ok;
+            self.rec.observe(m_ttft, ttft);
+            self.rec.series(s_ttft, now_ms, ok(ttft <= self.slo.ttft_ms));
+            if job.req.output_tokens > 1 {
+                self.rec.observe(m_tpot, tpot);
+                self.rec.series(s_tpot, now_ms, ok(tpot <= self.slo.tpot_ms));
+            }
+            self.rec.observe(m_e2e, e2e);
+            self.rec.series(s_good, now_ms, ok(good));
+        }
+    }
+
+    /// Per-step samples: batch, queue depth and KV occupancy; with the
+    /// overload layer on, the active rung and (when autoscaling) the live
+    /// pool sizes; and the active load of each of `rmap` replicas, using
+    /// crash handling's index→replica mapping (for the straggler
+    /// detector).
+    #[inline]
+    fn step(
+        &mut self,
+        now_ms: f64,
+        samples: [f64; 3],
+        rung: usize,
+        pools: Option<(usize, usize)>,
+        active: usize,
+        rmap: usize,
+    ) {
+        if !self.on {
+            return;
+        }
+        let ts = ms_to_us(now_ms);
+        let (decode, prefill) = pools.unwrap_or_default();
+        let ov = [rung, decode, prefill].map(|v| v as f64);
+        let ov_len = if !self.ov_any {
+            0
+        } else if pools.is_some() {
+            3
+        } else {
+            1
+        };
+        for (name, v) in
+            self.samples.iter().zip(samples).chain(self.pools.iter().zip(ov).take(ov_len))
+        {
+            self.rec.counter_sample(self.pid_engine, name, ts, v);
+            self.rec.series(name, now_ms, v);
+        }
+        while self.replicas.len() < rmap {
+            self.replicas.push(format!("{}.replica{}.active", self.scope, self.replicas.len()));
+        }
+        for (r, name) in self.replicas.iter().take(rmap).enumerate() {
+            let load = active / rmap + usize::from(r < active % rmap);
+            self.rec.series(name, now_ms, load as f64);
+        }
+    }
+
+    /// End-of-run totals: lifecycle counters and headline gauges, plus the
+    /// overload layer's counters when it is on.
+    fn finish(&mut self, r: &OverloadServingReport, tokens: u64) {
+        if !self.on {
+            return;
+        }
+        let (s, f, o) = (&r.serving, &r.faults, &r.overload);
+        let shed = o.shed_queue_full
+            + o.shed_rate_limited
+            + o.shed_deadline
+            + o.shed_priority
+            + o.shed_context;
+        let counters = [
+            ("requests", s.requests),
+            ("completed", s.completed),
+            ("dropped", s.dropped),
+            ("preemptions", s.preemptions),
+            ("decode_steps", s.decode_steps),
+            ("retries", f.retries),
+            ("rejected", f.rejected),
+            ("hedge_wins", f.hedge_wins),
+        ];
+        let ov_counters = [
+            ("ov_offered_attempts", o.offered_attempts),
+            ("ov_shed", shed),
+            ("ov_client_timeouts", o.client_timeouts),
+            ("ov_client_retries", o.client_retries),
+            ("ov_zombies_cancelled", o.zombies_cancelled),
+            ("ov_rejected", o.rejected),
+            ("ov_rung_transitions", o.rung_transitions),
+            ("ov_breaker_ejections", r.autoscale.breaker_ejections),
+        ];
+        let ov_len = if self.ov_any { ov_counters.len() } else { 0 };
+        for (name, v) in counters.into_iter().chain(ov_counters.into_iter().take(ov_len)) {
+            self.rec.counter_add(&format!("{}.{name}", self.scope), v as u64);
+        }
+        self.rec.counter_add(&format!("{}.tokens", self.scope), tokens);
+        for (name, v) in [
+            ("slo_attainment", s.slo_attainment),
+            ("throughput_tokens_per_s", s.throughput_tokens_per_s),
+            ("sim_duration_ms", s.sim_duration_ms),
+        ] {
+            self.rec.gauge_set(&format!("{}.{name}", self.scope), v);
+        }
+    }
+}
+
 /// Run the simulation to completion (or the step cap) and report.
 ///
 /// Equivalent to [`run_with_faults`] with an empty plan — byte-for-byte.
 ///
 /// # Panics
 ///
-/// Panics on degenerate configs (zero batch cap, non-positive prefill
-/// rate) — the same contract as the underlying analytical models.
+/// Same contract as [`run_overload_traced`].
 #[must_use]
 pub fn run(cfg: &ServingSimConfig) -> ServingReport {
     run_with_faults(cfg, &FaultPlan::healthy(), &RecoveryPolicy::default()).serving
-}
-
-/// [`run`] plus telemetry into `rec` (see [`run_with_faults_traced`]).
-///
-/// # Panics
-///
-/// Same contract as [`run`].
-#[must_use]
-pub fn run_traced(cfg: &ServingSimConfig, rec: &mut Recorder, scope: &str) -> ServingReport {
-    run_with_faults_traced(cfg, &FaultPlan::healthy(), &RecoveryPolicy::default(), rec, scope)
-        .serving
 }
 
 /// Run the simulation under a deterministic fault timeline.
@@ -493,40 +791,14 @@ pub fn run_traced(cfg: &ServingSimConfig, rec: &mut Recorder, scope: &str) -> Se
 ///
 /// # Panics
 ///
-/// Panics on degenerate configs or an invalid `plan`
-/// (see [`FaultPlan::validate`]).
+/// Same contract as [`run_overload_traced`].
 #[must_use]
 pub fn run_with_faults(
     cfg: &ServingSimConfig,
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> FaultyServingReport {
-    run_with_faults_traced(cfg, plan, policy, &mut Recorder::disabled(), "")
-}
-
-/// [`run_with_faults`] plus telemetry: every request gets a
-/// prefill→queued→decode span chain (with preempt/retry/cancel/complete
-/// instants) on a `{scope}/requests` track, every delivered fault an
-/// instant on `{scope}/faults`, and the engine samples batch size, queue
-/// depth, and KV occupancy each decode step on `{scope}/engine`. Latency
-/// samples also land in `{scope}.ttft_ms`/`.tpot_ms`/`.e2e_ms`
-/// histograms, and lifecycle counts in `{scope}.*` counters. Timestamps
-/// are simulation milliseconds scaled to trace microseconds. With a
-/// disabled recorder every telemetry branch is dead and the report is
-/// byte-identical to [`run_with_faults`] — enforced by test.
-///
-/// # Panics
-///
-/// Same contract as [`run_with_faults`].
-#[must_use]
-pub fn run_with_faults_traced(
-    cfg: &ServingSimConfig,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    rec: &mut Recorder,
-    scope: &str,
-) -> FaultyServingReport {
-    let r = simulate(cfg, plan, policy, None, rec, scope);
+    let r = run_overload(cfg, plan, policy, &OverloadConfig::disabled());
     FaultyServingReport { serving: r.serving, faults: r.faults }
 }
 
@@ -535,15 +807,13 @@ pub fn run_with_faults_traced(
 /// clients, and reactive autoscaling, per `ov` (see [`crate::overload`]).
 ///
 /// With [`OverloadConfig::disabled`] the serving and fault reports are
-/// byte-identical to [`run_with_faults`]'s — every overload branch is
-/// guarded, the overload layer draws from its own seeded RNG stream, and
-/// the disabled path performs no extra float arithmetic on shared state.
+/// [`run_with_faults`]'s — every overload branch is guarded, the overload
+/// layer draws from its own seeded RNG stream, and the disabled path
+/// performs no extra float arithmetic on shared state.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_with_faults`], plus: an autoscale config whose
-/// `decode_base` disagrees with `plan.replicas` (the crash timeline
-/// would address a pool that does not exist).
+/// Same contract as [`run_overload_traced`].
 #[must_use]
 pub fn run_overload(
     cfg: &ServingSimConfig,
@@ -551,20 +821,37 @@ pub fn run_overload(
     policy: &RecoveryPolicy,
     ov: &OverloadConfig,
 ) -> OverloadServingReport {
-    simulate(cfg, plan, policy, Some(ov), &mut Recorder::disabled(), "")
+    run_overload_traced(cfg, plan, policy, ov, &mut Recorder::disabled(), "")
 }
 
-/// [`run_overload`] plus telemetry: everything [`run_with_faults_traced`]
-/// records, plus an instant for every shed/timeout/retry/give-up on the
-/// request track, every rung transition and scale decision on the engine
-/// track, and per-step gauges for the active rung and live pool sizes.
+/// The one simulation loop behind every entry point: [`run_overload`]
+/// plus telemetry into `rec`. Every request gets a
+/// prefill→queued→decode span chain (with preempt/retry/cancel/complete
+/// instants) on a `{scope}/requests` track, every delivered fault an
+/// instant on `{scope}/faults`, and the engine samples batch size, queue
+/// depth, and KV occupancy each decode step on `{scope}/engine`. Latency
+/// samples also land in `{scope}.ttft_ms`/`.tpot_ms`/`.e2e_ms`
+/// histograms, and lifecycle counts in `{scope}.*` counters. With the
+/// overload layer on, every shed/timeout/retry/give-up is an instant on
+/// the request track, every rung transition and scale decision one on the
+/// engine track, and the active rung and live pool sizes are sampled each
+/// step. Timestamps are simulation milliseconds scaled to trace
+/// microseconds. A disabled recorder leaves the report byte-identical —
+/// enforced by test.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_overload`].
+/// Panics on degenerate configs: a zero batch cap, a non-positive
+/// prefill rate, an MTP acceptance outside `[0, 1]` or a negative (or
+/// NaN) MTP step overhead, or a disaggregated prefill fraction outside
+/// `(0, 1)`. Also panics on an invalid `plan` (see
+/// [`FaultPlan::validate`]) and on an autoscale config whose
+/// `decode_base` disagrees with `plan.replicas` (the crash timeline would
+/// address a pool that does not exist).
 // lint:entry — the serving engine step loop (overload superset: admission,
 // ladder, autoscale, retries, hedging all run under this entry).
 #[must_use]
+#[allow(clippy::too_many_lines)]
 pub fn run_overload_traced(
     cfg: &ServingSimConfig,
     plan: &FaultPlan,
@@ -573,23 +860,12 @@ pub fn run_overload_traced(
     rec: &mut Recorder,
     scope: &str,
 ) -> OverloadServingReport {
-    simulate(cfg, plan, policy, Some(ov), rec, scope)
-}
-
-/// The one simulation loop behind every public entry point. `ov = None`
-/// (or a disabled config) reproduces the pre-overload engine
-/// byte-for-byte.
-#[allow(clippy::too_many_lines)]
-fn simulate(
-    cfg: &ServingSimConfig,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ov: Option<&OverloadConfig>,
-    rec: &mut Recorder,
-    scope: &str,
-) -> OverloadServingReport {
     assert!(cfg.engine.max_batch > 0, "batch cap must be positive");
     assert!(cfg.engine.prefill_tokens_per_ms > 0.0, "prefill rate must be positive");
+    if let Some(mtp) = &cfg.engine.mtp {
+        assert!((0.0..=1.0).contains(&mtp.acceptance), "MTP acceptance must lie in [0, 1]");
+        assert!(mtp.step_overhead >= 0.0, "MTP step overhead must be non-negative");
+    }
 
     let total_requests = cfg.workload.requests;
     let mut arrivals = workload::generate(&cfg.workload).into_iter().peekable();
@@ -604,14 +880,14 @@ fn simulate(
     let mut fstate = FaultState::new(plan);
 
     // Overload layer: every feature is individually optional, and each
-    // `None` below kills its branches dead so the legacy path stays
-    // byte-identical.
-    let adm = ov.and_then(|o| o.admission.as_ref());
-    let ladder_cfg = ov.and_then(|o| o.ladder.as_ref());
-    let clients = ov.and_then(|o| o.clients.as_ref());
-    let as_cfg = ov.and_then(|o| o.autoscale.as_ref());
-    let priority_classes = ov.map_or(1, |o| o.priority_classes.max(1));
-    let window_ms = ov.map_or(0.0, |o| o.timeline_window_ms);
+    // `None` below kills its branches dead.
+    let adm = ov.admission.as_ref();
+    let ladder_cfg = ov.ladder.as_ref();
+    let clients = ov.clients.as_ref();
+    let as_cfg = ov.autoscale.as_ref();
+    let priority_classes = ov.priority_classes.max(1);
+    let window_ms = ov.timeline_window_ms;
+    let ov_any = !ov.is_disabled();
     if let Some(ac) = as_cfg {
         assert_eq!(
             ac.decode_base, plan.replicas,
@@ -627,27 +903,16 @@ fn simulate(
     let mut jitter_rng = StdRng::seed_from_u64(cfg.workload.seed ^ 0x6f76_6a74);
     let base_prefill_rate = cfg.router.prefill_rate(cfg.engine.prefill_tokens_per_ms);
 
-    // Closed-loop client state, indexed by request id. `req_info` keeps
-    // each request as generated so a timed-out attempt can be resubmitted
-    // verbatim (original arrival stamp included — latency samples charge
-    // the client's full wait, retries and all).
-    let mut req_info: Vec<Option<Request>> = vec![None; total_requests];
-    let mut attempt_cur = vec![0u32; total_requests];
-    let mut retries_used = vec![0u32; total_requests];
-    let mut prev_backoff = vec![0.0f64; total_requests];
-    let mut crash_prev_backoff = vec![0.0f64; total_requests];
-    let mut served_first_token = vec![false; total_requests];
-    // (deadline, seq, rid, attempt), kept sorted by deadline: client
-    // retries and fresh arrivals interleave within an iteration, so the
-    // push order alone is not quite chronological.
-    let mut timeouts: Vec<(f64, u64, usize, u32)> = Vec::new();
-    let mut timeout_seq = 0u64;
-    // Client retries waiting out their backoff, sorted like `delayed`.
-    let mut client_delayed: Vec<(f64, u64, Request)> = Vec::new();
-    let mut client_seq = 0u64;
+    let mut reqs = vec![ReqState::default(); total_requests];
+    // Client timeouts `(rid, attempt)` and client retries waiting out
+    // their backoff, both kept sorted by `schedule`: client retries and
+    // fresh arrivals interleave within an iteration, so the push order
+    // alone is not quite chronological.
+    let mut timeouts: Vec<(f64, (usize, u32))> = Vec::new();
+    let mut client_delayed: Vec<(f64, Request)> = Vec::new();
 
-    // Goodput timeline: (offered, completed, good) per window.
-    let mut windows: Vec<(usize, usize, usize)> = Vec::new();
+    // Goodput timeline: [offered, completed, good] per window.
+    let mut windows: Vec<[usize; 3]> = Vec::new();
     // Smoothed decode-step duration: feeds the deadline predictor and
     // the ladder's pressure signal.
     let mut ewma_step_ms = 0.0f64;
@@ -655,71 +920,24 @@ fn simulate(
     // estimate uses it before this iteration's value exists).
     let mut last_cap = cfg.engine.max_batch;
 
-    // Telemetry tracks and metric names. `on` guards every emission so a
-    // disabled recorder costs one branch per site and these few one-time
-    // allocations per run.
-    let on = rec.is_enabled();
-    let (pid_engine, pid_req, pid_faults) = if on {
-        (
-            rec.process(&format!("{scope}/engine")),
-            rec.process(&format!("{scope}/requests")),
-            rec.process(&format!("{scope}/faults")),
-        )
-    } else {
-        (0, 0, 0)
-    };
-    let m_batch = format!("{scope}.batch_size");
-    let m_queue = format!("{scope}.queue_depth");
-    let m_kv = format!("{scope}.kv_utilization");
-    let m_ttft = format!("{scope}.ttft_ms");
-    let m_tpot = format!("{scope}.tpot_ms");
-    let m_e2e = format!("{scope}.e2e_ms");
-    // Overload-only telemetry handles, created only when a feature is on
-    // so the disabled path emits exactly the legacy trace.
-    let ov_any = ov.is_some_and(|o| !o.is_disabled());
-    let tid_engine = if on && ov_any { rec.thread(pid_engine, "engine") } else { 0 };
-    let m_rung = format!("{scope}.rung");
-    let m_decode_live = format!("{scope}.decode_replicas");
-    let m_prefill_live = format!("{scope}.prefill_replicas");
-    // Time-series tracks for the watch detectors (`dsv3 audit`). The
-    // queue/kv/batch/rung names are shared with the counter samples
-    // above; series live in their own namespace in the recorder.
-    let s_offered = format!("{scope}.offered");
-    let s_good = format!("{scope}.slo.good");
-    let s_ttft_ok = format!("{scope}.slo.ttft_ok");
-    let s_tpot_ok = format!("{scope}.slo.tpot_ok");
-    let mut s_replica: Vec<String> = Vec::new();
-    let mut replica_counts: Vec<u32> = Vec::new();
+    let mut sink = Sink::new(rec, scope, ov_any, cfg.slo);
 
     let mut prefill = match cfg.router {
-        RouterPolicy::Unified => Prefill::Unified {
-            backlog: VecDeque::new(),
-            rate: cfg.router.prefill_rate(cfg.engine.prefill_tokens_per_ms),
-        },
-        RouterPolicy::Disaggregated { .. } => Prefill::Disaggregated {
-            station_free_ms: 0.0,
-            rate: cfg.router.prefill_rate(cfg.engine.prefill_tokens_per_ms),
-        },
+        RouterPolicy::Unified => {
+            Prefill::Unified { backlog: VecDeque::new(), rate: base_prefill_rate }
+        }
+        RouterPolicy::Disaggregated { .. } => {
+            Prefill::Disaggregated { station_free_ms: 0.0, rate: base_prefill_rate }
+        }
     };
     let decode_slowdown = cfg.router.decode_slowdown();
 
     let mut ready: VecDeque<Job> = VecDeque::new();
     let mut active: Vec<Job> = Vec::new();
-    // Crash victims waiting out their backoff: (release_ms, seq, job),
-    // kept sorted so releases are deterministic.
-    let mut delayed: Vec<(f64, u64, Job)> = Vec::new();
-    let mut delayed_seq = 0u64;
+    // Crash victims waiting out their backoff, kept sorted by `schedule`
+    // so releases are deterministic.
+    let mut delayed: Vec<(f64, Job)> = Vec::new();
     let mut clock_ms = 0.0f64;
-
-    // Per-request bookkeeping (indexed by request id). `live` counts
-    // clones anywhere in the system; `done` flips exactly once, when the
-    // request completes, drops, or is rejected.
-    let mut done = vec![false; total_requests];
-    let mut live = vec![0u8; total_requests];
-    let mut hedged = vec![false; total_requests];
-    let mut crash_count = vec![0u32; total_requests];
-    let mut corrupted = vec![false; total_requests];
-    let mut ttft_recorded = vec![false; total_requests];
 
     let mut completed = 0usize;
     let mut dropped = 0usize;
@@ -739,29 +957,19 @@ fn simulate(
     // closure) because it mutably borrows half the loop state.
     macro_rules! client_retry_or_reject {
         ($cl:expr, $rid:expr, $req:expr, $now:expr) => {{
-            if retries_used[$rid] >= $cl.retry_budget {
-                if !done[$rid] {
-                    done[$rid] = true;
+            let r = &mut reqs[$rid];
+            if r.retries >= $cl.retry_budget {
+                if !r.done {
+                    r.done = true;
                     ostats.rejected += 1;
-                    if on {
-                        let tid = rec.thread(pid_req, &format!("req{}", $rid));
-                        rec.instant(pid_req, tid, "request", "give-up", ms_to_us($now));
-                    }
+                    sink.mark($rid, 0, "give-up", $now);
                 }
             } else {
-                retries_used[$rid] += 1;
-                let d = $cl.backoff.delay_ms_jittered(
-                    retries_used[$rid],
-                    prev_backoff[$rid],
-                    &mut jitter_rng,
-                );
-                prev_backoff[$rid] = d;
+                r.retries += 1;
+                r.prev_backoff =
+                    $cl.backoff.delay_ms_jittered(r.retries, r.prev_backoff, &mut jitter_rng);
                 ostats.client_retries += 1;
-                let at = $now + d;
-                let pos = client_delayed
-                    .partition_point(|(t, s, _)| *t < at || (*t == at && *s < client_seq));
-                client_delayed.insert(pos, (at, client_seq, $req));
-                client_seq += 1;
+                schedule(&mut client_delayed, $now + r.prev_backoff, $req);
             }
         }};
     }
@@ -769,15 +977,14 @@ fn simulate(
     // Offer one submission attempt (fresh arrival or client retry) to the
     // admission gate; on admit it enters prefill, on shed the client
     // retries or the request is settled as rejected. With every overload
-    // feature off this reduces exactly to the legacy enqueue.
+    // feature off this reduces exactly to a direct enqueue.
     macro_rules! submit {
         ($req:expr, $attempt:expr, $at:expr) => {{
             let req: Request = $req;
-            let rid = req.id as usize;
+            let attempt: u32 = $attempt;
             let at: f64 = $at;
-            if ov_any {
-                ostats.offered_attempts += 1;
-            }
+            let rid = req.id as usize;
+            ostats.offered_attempts += usize::from(ov_any);
             let mut shed: Option<&'static str> = None;
             if let Some(rung) = ladder_cfg.and_then(|lc| ladder.active(lc)) {
                 let prio = (req.id % u64::from(priority_classes)) as u8;
@@ -809,8 +1016,7 @@ fn simulate(
                     }
                     if shed.is_none() && a.deadline_headroom > 0.0 {
                         // Predicted TTFT = prefill completion estimate plus
-                        // the decode queue ahead, each slot costing one
-                        // smoothed step per mean output token share.
+                        // the decode queue ahead.
                         let prompt = req.prompt_tokens as f64;
                         let prefill_est = match &prefill {
                             Prefill::Disaggregated { station_free_ms, rate } => {
@@ -820,11 +1026,8 @@ fn simulate(
                                 (backlog.iter().map(|(_, t)| *t).sum::<f64>() + prompt) / *rate
                             }
                         };
-                        let per_slot = if ewma_step_ms > 0.0 {
-                            ewma_step_ms * cfg.workload.output.mean_tokens / last_cap.max(1) as f64
-                        } else {
-                            0.0
-                        };
+                        let per_slot =
+                            per_slot_ms(ewma_step_ms, cfg.workload.output.mean_tokens, last_cap);
                         let predicted = prefill_est + ready.len() as f64 * per_slot;
                         if predicted > a.deadline_headroom * cfg.slo.ttft_ms {
                             ostats.shed_deadline += 1;
@@ -835,33 +1038,23 @@ fn simulate(
             }
             match shed {
                 None => {
-                    if ov_any {
-                        ostats.admitted_attempts += 1;
-                    }
-                    live[rid] += 1;
+                    ostats.admitted_attempts += usize::from(ov_any);
+                    reqs[rid].live += 1;
                     if let Some(cl) = clients {
-                        let deadline = at + cl.timeout_ms;
-                        let pos = timeouts.partition_point(|(t, s, _, _)| {
-                            *t < deadline || (*t == deadline && *s < timeout_seq)
-                        });
-                        timeouts.insert(pos, (deadline, timeout_seq, rid, $attempt));
-                        timeout_seq += 1;
-                        served_first_token[rid] = false;
+                        schedule(&mut timeouts, at + cl.timeout_ms, (rid, attempt));
+                        reqs[rid].streaming = false;
                     }
                     let mut job = Job::new(req);
-                    job.attempt = $attempt;
+                    job.attempt = attempt;
                     let tokens = job.req.prompt_tokens as f64;
                     enqueue_prefill(&mut prefill, &mut ready, job, at, tokens);
                 }
                 Some(label) => {
-                    if on {
-                        let tid = rec.thread(pid_req, &format!("req{rid}"));
-                        rec.instant(pid_req, tid, "request", label, ms_to_us(clock_ms));
-                    }
+                    sink.mark(rid, 0, label, clock_ms);
                     if let Some(cl) = clients {
                         client_retry_or_reject!(cl, rid, req, clock_ms);
-                    } else if !done[rid] {
-                        done[rid] = true;
+                    } else if !reqs[rid].done {
+                        reqs[rid].done = true;
                         ostats.rejected += 1;
                     }
                 }
@@ -877,18 +1070,16 @@ fn simulate(
         // engine next touches it); the client retries after jittered
         // backoff or gives up for good.
         if let Some(cl) = clients {
-            while timeouts.first().is_some_and(|&(d, _, _, _)| d <= clock_ms) {
-                let (_, _, rid, att) = timeouts.remove(0);
-                if done[rid] || att != attempt_cur[rid] || served_first_token[rid] {
+            while timeouts.first().is_some_and(|&(d, _)| d <= clock_ms) {
+                let (_, (rid, att)) = timeouts.remove(0);
+                let r = &mut reqs[rid];
+                if r.done || att != r.attempt || r.streaming {
                     continue; // settled, superseded, or already streaming
                 }
                 ostats.client_timeouts += 1;
-                attempt_cur[rid] += 1; // invalidate the in-flight attempt
-                if on {
-                    let tid = rec.thread(pid_req, &format!("req{rid}"));
-                    rec.instant(pid_req, tid, "request", "client-timeout", ms_to_us(clock_ms));
-                }
-                let Some(req) = req_info[rid].clone() else { continue };
+                r.attempt += 1; // invalidate the in-flight attempt
+                sink.mark(rid, 0, "client-timeout", clock_ms);
+                let Some(req) = r.info.clone() else { continue };
                 client_retry_or_reject!(cl, rid, req, clock_ms);
             }
         }
@@ -896,17 +1087,11 @@ fn simulate(
         // Deliver fault events due by now, then apply crash consequences:
         // every job on a crashed replica (position i runs on replica
         // i mod R) loses its KV and is requeued, rejected, or hedged.
-        driver.poll_traced(clock_ms, &mut fstate, rec, pid_faults, scope);
+        driver.poll_traced(clock_ms, &mut fstate, sink.rec, sink.pid_faults, scope);
         for replica in std::mem::take(&mut fstate.pending_crashes) {
             if let (Some(ac), Some(ast)) = (as_cfg, ascale.as_mut()) {
-                if ast.on_crash(ac, replica, clock_ms) && on {
-                    rec.instant(
-                        pid_engine,
-                        tid_engine,
-                        "autoscale",
-                        "breaker-eject",
-                        ms_to_us(clock_ms),
-                    );
+                if ast.on_crash(ac, replica, clock_ms) {
+                    sink.engine("autoscale", "breaker-eject", clock_ms);
                 }
             }
             let rmap = ascale.as_ref().map_or(fstate.replicas, |s| s.decode_live.max(1));
@@ -921,44 +1106,28 @@ fn simulate(
                 let held = kv.release(victim.cache_id()).expect("active jobs hold cache");
                 victim.resident_tokens = held;
                 let id = victim.rid();
-                if clients.is_some() && victim.attempt != attempt_cur[id] {
+                if zombie(&victim, &reqs, clients) {
                     // The client already timed this attempt out: the crash
-                    // just beat the engine to collecting the zombie.
-                    live[id] -= 1;
+                    // just beat the engine to collecting the zombie. Its
+                    // decode span is left open (a trace quirk the digests
+                    // pin).
+                    reqs[id].live -= 1;
                     ostats.zombies_cancelled += 1;
-                    if on {
-                        let tid = rec.thread(pid_req, &req_label(&victim));
-                        rec.instant(pid_req, tid, "request", "cancel-zombie", ms_to_us(clock_ms));
-                    }
+                    sink.mark(id, victim.clone_tag, "cancel-zombie", clock_ms);
                     continue;
                 }
                 let req = victim.req.clone();
                 fstate.stats.jobs_lost_to_crashes += 1;
-                crash_count[id] += 1;
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&victim));
-                    if victim.admitted_ms.is_finite() {
-                        rec.span(
-                            pid_req,
-                            tid,
-                            "request",
-                            "decode",
-                            ms_to_us(victim.admitted_ms),
-                            ms_to_us(clock_ms),
-                        );
-                    }
-                    rec.instant(pid_req, tid, "request", "crash-evict", ms_to_us(clock_ms));
-                }
+                sink.close_and_mark(&victim, "crash-evict", clock_ms);
                 victim.admitted_ms = f64::NAN;
-                if crash_count[id] > policy.max_retries {
-                    live[id] -= 1;
-                    if live[id] == 0 && !done[id] {
-                        done[id] = true;
+                let r = &mut reqs[id];
+                r.crashes += 1;
+                if r.crashes > policy.max_retries {
+                    r.live -= 1;
+                    if r.live == 0 && !r.done {
+                        r.done = true;
                         fstate.stats.rejected += 1;
-                        if on {
-                            let tid = rec.thread(pid_req, &req_label(&victim));
-                            rec.instant(pid_req, tid, "request", "reject", ms_to_us(clock_ms));
-                        }
+                        sink.mark(id, victim.clone_tag, "reject", clock_ms);
                     }
                 } else {
                     fstate.stats.retries += 1;
@@ -966,29 +1135,22 @@ fn simulate(
                     // exactly `delay_ms` and never touches the RNG.
                     // lint:allow(R2) — jitter_rng is a dedicated child stream seeded from the run seed; the crash-retry loop drains it in deterministic event order
                     let d = policy.backoff.delay_ms_jittered(
-                        crash_count[id],
-                        crash_prev_backoff[id],
+                        r.crashes,
+                        r.crash_prev_backoff,
                         &mut jitter_rng,
                     );
-                    crash_prev_backoff[id] = d;
-                    let at = clock_ms + d;
+                    r.crash_prev_backoff = d;
                     victim.ready_ms = f64::INFINITY;
-                    let pos = delayed
-                        .partition_point(|(t, s, _)| *t < at || (*t == at && *s < delayed_seq));
-                    delayed.insert(pos, (at, delayed_seq, victim));
-                    delayed_seq += 1;
+                    schedule(&mut delayed, clock_ms + d, victim);
                 }
-                if policy.hedge && !hedged[id] && !done[id] {
-                    hedged[id] = true;
-                    live[id] += 1;
+                if policy.hedge && !r.hedged && !r.done {
+                    r.hedged = true;
+                    r.live += 1;
                     fstate.stats.hedges_spawned += 1;
                     let mut clone = Job::new(req);
                     clone.clone_tag = 1;
-                    clone.attempt = attempt_cur[id];
-                    if on {
-                        let tid = rec.thread(pid_req, &req_label(&clone));
-                        rec.instant(pid_req, tid, "request", "hedge-spawn", ms_to_us(clock_ms));
-                    }
+                    clone.attempt = r.attempt;
+                    sink.mark(id, 1, "hedge-spawn", clock_ms);
                     let tokens = clone.req.prompt_tokens as f64;
                     enqueue_prefill(&mut prefill, &mut ready, clone, clock_ms, tokens);
                 }
@@ -997,64 +1159,44 @@ fn simulate(
 
         // Release crash victims whose backoff has elapsed: they re-enter
         // prefill with their full accumulated context.
-        while delayed.first().is_some_and(|(t, _, _)| *t <= clock_ms) {
-            let (_, _, job) = delayed.remove(0);
-            if done[job.rid()] {
-                live[job.rid()] -= 1; // sibling already settled it
-                continue;
-            }
-            if clients.is_some() && job.attempt != attempt_cur[job.rid()] {
-                live[job.rid()] -= 1; // client timed it out while it waited
-                ostats.zombies_cancelled += 1;
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    rec.instant(pid_req, tid, "request", "cancel-zombie", ms_to_us(clock_ms));
+        while delayed.first().is_some_and(|(t, _)| *t <= clock_ms) {
+            let (_, job) = delayed.remove(0);
+            if let Some(why) = stale(&job, &reqs, clients) {
+                reqs[job.rid()].live -= 1;
+                // A copy whose sibling already settled the request leaves
+                // without an instant (a trace quirk the digests pin).
+                if why == "cancel-zombie" {
+                    ostats.zombies_cancelled += 1;
+                    sink.mark(job.rid(), job.clone_tag, why, clock_ms);
                 }
                 continue;
             }
-            if on {
-                let tid = rec.thread(pid_req, &req_label(&job));
-                rec.instant(pid_req, tid, "request", "retry-release", ms_to_us(clock_ms));
-            }
+            sink.mark(job.rid(), job.clone_tag, "retry-release", clock_ms);
             let tokens = job.resident_tokens as f64;
             enqueue_prefill(&mut prefill, &mut ready, job, clock_ms, tokens);
         }
 
         // Release client retries whose backoff has elapsed: they re-enter
         // through admission like any fresh arrival.
-        while client_delayed.first().is_some_and(|&(t, _, _)| t <= clock_ms) {
-            let (t, _, req) = client_delayed.remove(0);
+        while client_delayed.first().is_some_and(|&(t, _)| t <= clock_ms) {
+            let (t, req) = client_delayed.remove(0);
             let rid = req.id as usize;
-            if done[rid] {
+            if reqs[rid].done {
                 continue; // settled while the client waited
             }
-            if on {
-                let tid = rec.thread(pid_req, &format!("req{rid}"));
-                rec.instant(pid_req, tid, "request", "client-resubmit", ms_to_us(clock_ms));
-            }
-            submit!(req, attempt_cur[rid], t);
+            sink.mark(rid, 0, "client-resubmit", clock_ms);
+            submit!(req, reqs[rid].attempt, t);
         }
 
-        // Hand arrived requests to the admission gate (the legacy direct
-        // enqueue when every overload feature is off).
+        // Hand arrived requests to the admission gate.
         while let Some(req) = arrivals.next_if(|r| r.arrival_ms <= clock_ms) {
-            let rid = req.id as usize;
             let at = req.arrival_ms;
-            if on {
-                // Fresh arrivals only: client retries re-enter elsewhere,
-                // so this series is the *offered* load the metastability
-                // detector compares goodput against.
-                rec.series(&s_offered, at, 1.0);
-            }
+            sink.offered(at);
             if window_ms > 0.0 {
-                let w = (at / window_ms) as usize;
-                if windows.len() <= w {
-                    windows.resize(w + 1, (0, 0, 0));
-                }
-                windows[w].0 += 1;
+                window(&mut windows, at, window_ms)[0] += 1;
             }
             if clients.is_some() {
-                req_info[rid] = Some(req.clone());
+                reqs[req.id as usize].info = Some(req.clone());
             }
             submit!(req, 0, at);
         }
@@ -1064,28 +1206,17 @@ fn simulate(
         // tracks the live prefill pool.
         if let (Some(ac), Some(ast)) = (as_cfg, ascale.as_mut()) {
             ast.apply_due(ac, clock_ms);
-            let backlog_ms = match &prefill {
-                Prefill::Disaggregated { station_free_ms, .. } => {
-                    (station_free_ms - clock_ms).max(0.0)
-                }
-                Prefill::Unified { backlog, rate } => backlog.iter().map(|(_, t)| t / *rate).sum(),
-            };
             let before = ast.stats;
-            ast.evaluate(ac, clock_ms, ready.len(), active.len(), backlog_ms);
-            if on {
-                let after = ast.stats;
-                let ts = ms_to_us(clock_ms);
-                if after.decode_scale_ups > before.decode_scale_ups {
-                    rec.instant(pid_engine, tid_engine, "autoscale", "scale-up decode", ts);
-                }
-                if after.decode_scale_downs > before.decode_scale_downs {
-                    rec.instant(pid_engine, tid_engine, "autoscale", "scale-down decode", ts);
-                }
-                if after.prefill_scale_ups > before.prefill_scale_ups {
-                    rec.instant(pid_engine, tid_engine, "autoscale", "scale-up prefill", ts);
-                }
-                if after.prefill_scale_downs > before.prefill_scale_downs {
-                    rec.instant(pid_engine, tid_engine, "autoscale", "scale-down prefill", ts);
+            ast.evaluate(ac, clock_ms, ready.len(), active.len(), prefill.wait_ms(clock_ms));
+            let after = ast.stats;
+            for (was, is, name) in [
+                (before.decode_scale_ups, after.decode_scale_ups, "scale-up decode"),
+                (before.decode_scale_downs, after.decode_scale_downs, "scale-down decode"),
+                (before.prefill_scale_ups, after.prefill_scale_ups, "scale-up prefill"),
+                (before.prefill_scale_downs, after.prefill_scale_downs, "scale-down prefill"),
+            ] {
+                if is > was {
+                    sink.engine("autoscale", name, clock_ms);
                 }
             }
             let pf_mult = ast.prefill_live as f64 / ac.prefill_base as f64;
@@ -1102,29 +1233,14 @@ fn simulate(
         // term matters in disaggregated mode, where overload piles up
         // station-side and the ready queue stays deceptively short.
         if let Some(lc) = ladder_cfg {
-            let per_slot = if ewma_step_ms > 0.0 {
-                ewma_step_ms * cfg.workload.output.mean_tokens / last_cap.max(1) as f64
-            } else {
-                0.0
-            };
-            let prefill_wait_ms = match &prefill {
-                Prefill::Disaggregated { station_free_ms, .. } => {
-                    (station_free_ms - clock_ms).max(0.0)
-                }
-                Prefill::Unified { backlog, rate } => backlog.iter().map(|(_, t)| t / *rate).sum(),
-            };
-            let pressure = (prefill_wait_ms + ready.len() as f64 * per_slot) / cfg.slo.ttft_ms;
+            let per_slot = per_slot_ms(ewma_step_ms, cfg.workload.output.mean_tokens, last_cap);
+            let pressure =
+                (prefill.wait_ms(clock_ms) + ready.len() as f64 * per_slot) / cfg.slo.ttft_ms;
             if let Some((from, to)) = ladder.update(lc, pressure, clock_ms) {
                 ostats.rung_transitions += 1;
                 ostats.max_rung = ostats.max_rung.max(to);
-                if on {
-                    let name = if to > from {
-                        format!("rung-degrade {from}->{to}")
-                    } else {
-                        format!("rung-recover {from}->{to}")
-                    };
-                    rec.instant(pid_engine, tid_engine, "ladder", &name, ms_to_us(clock_ms));
-                }
+                let verb = if to > from { "degrade" } else { "recover" };
+                sink.engine("ladder", format_args!("rung-{verb} {from}->{to}"), clock_ms);
             }
         }
 
@@ -1151,26 +1267,13 @@ fn simulate(
         last_cap = effective_max_batch.max(1);
         while active.len() < effective_max_batch {
             let Some(front) = ready.front() else { break };
-            if done[front.rid()] {
-                // A sibling clone already settled this request: cancel.
+            if let Some(why) = stale(front, &reqs, clients) {
+                // Cancel on sight rather than let a settled copy or a
+                // zombie hold the FIFO head.
                 let Some(job) = ready.pop_front() else { break };
-                live[job.rid()] -= 1;
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    rec.instant(pid_req, tid, "request", "cancel", ms_to_us(clock_ms));
-                }
-                continue;
-            }
-            if clients.is_some() && front.attempt != attempt_cur[front.rid()] {
-                // Client timed this attempt out while it queued: cancel on
-                // sight rather than let a zombie hold the FIFO head.
-                let Some(job) = ready.pop_front() else { break };
-                live[job.rid()] -= 1;
-                ostats.zombies_cancelled += 1;
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    rec.instant(pid_req, tid, "request", "cancel-zombie", ms_to_us(clock_ms));
-                }
+                reqs[job.rid()].live -= 1;
+                ostats.zombies_cancelled += usize::from(why == "cancel-zombie");
+                sink.mark(job.rid(), job.clone_tag, why, clock_ms);
                 continue;
             }
             if front.ready_ms > clock_ms {
@@ -1179,41 +1282,19 @@ fn simulate(
             if front.resident_tokens + 1 > kv.capacity_tokens() {
                 // Could never hold this context even alone: infeasible.
                 let Some(job) = ready.pop_front() else { break };
-                live[job.rid()] -= 1;
-                if live[job.rid()] == 0 {
-                    done[job.rid()] = true;
+                let r = &mut reqs[job.rid()];
+                r.live -= 1;
+                if r.live == 0 {
+                    r.done = true;
                     dropped += 1;
                 }
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    rec.instant(pid_req, tid, "request", "drop-infeasible", ms_to_us(clock_ms));
-                }
+                sink.mark(job.rid(), job.clone_tag, "drop-infeasible", clock_ms);
                 continue;
             }
             match kv.admit(front.cache_id(), front.resident_tokens) {
                 Ok(()) => {
                     let Some(mut job) = ready.pop_front() else { break };
-                    if on {
-                        let tid = rec.thread(pid_req, &req_label(&job));
-                        if job.prefill_enter_ms.is_finite() {
-                            rec.span(
-                                pid_req,
-                                tid,
-                                "request",
-                                "prefill",
-                                ms_to_us(job.prefill_enter_ms),
-                                ms_to_us(job.ready_ms),
-                            );
-                        }
-                        rec.span(
-                            pid_req,
-                            tid,
-                            "request",
-                            "queued",
-                            ms_to_us(job.ready_ms),
-                            ms_to_us(clock_ms),
-                        );
-                    }
+                    sink.admitted(&job, clock_ms);
                     job.prefill_enter_ms = f64::NAN;
                     job.admitted_ms = clock_ms;
                     active.push(job);
@@ -1226,26 +1307,18 @@ fn simulate(
 
         if active.is_empty() {
             // Idle decode pool: jump to the next event.
-            let mut next = f64::INFINITY;
-            if let Some(r) = arrivals.peek() {
-                next = next.min(r.arrival_ms);
-            }
-            if healthy > 0 {
-                // With every replica down, a ready job is not an event:
-                // nothing can admit it until a repair (below) lands.
-                if let Some(front) = ready.front() {
-                    next = next.min(front.ready_ms);
-                }
-            }
-            if let Some(&(t, _, _)) = delayed.first() {
-                next = next.min(t);
-            }
-            if let Some(&(d, _, _, _)) = timeouts.first() {
-                next = next.min(d);
-            }
-            if let Some(&(t, _, _)) = client_delayed.first() {
-                next = next.min(t);
-            }
+            // With every replica down, a ready job is not an event:
+            // nothing can admit it until a repair (below) lands.
+            let mut next = [
+                arrivals.peek().map(|r| r.arrival_ms),
+                ready.front().filter(|_| healthy > 0).map(|j| j.ready_ms),
+                delayed.first().map(|e| e.0),
+                timeouts.first().map(|e| e.0),
+                client_delayed.first().map(|e| e.0),
+            ]
+            .into_iter()
+            .flatten()
+            .fold(f64::INFINITY, f64::min);
             if let Some(ast) = &ascale {
                 next = next.min(ast.next_wake_ms());
                 // Autoscale wake-ups recur forever; cap idle spins so a
@@ -1315,8 +1388,9 @@ fn simulate(
         // The first ladder rung turns MTP off: no speculative draft chain,
         // no per-step draft overhead.
         let mtp_off = ladder_cfg.and_then(|lc| ladder.active(lc)).is_some_and(|r| r.disable_mtp);
+        let mtp = cfg.engine.mtp.as_ref().filter(|_| !mtp_off);
         let mut dt = speed.evaluate().tpot_ms * decode_slowdown;
-        if let Some(mtp) = cfg.engine.mtp.as_ref().filter(|_| !mtp_off) {
+        if let Some(mtp) = mtp {
             dt *= 1.0 + mtp.step_overhead;
         }
         let straggle = fstate.slowdown();
@@ -1331,7 +1405,7 @@ fn simulate(
                 dt += dt;
             } else if let Some(last) = active.last() {
                 // Silent: the youngest request's output is now wrong.
-                corrupted[last.rid()] = true;
+                reqs[last.rid()].corrupted = true;
             }
         }
         if let Prefill::Unified { backlog, rate } = &mut prefill {
@@ -1362,66 +1436,21 @@ fn simulate(
         // Drain tokens into each active request, oldest first.
         let mut idx = 0;
         while idx < active.len() {
-            if done[active[idx].rid()] {
-                // A sibling clone finished first: cancel this one.
+            if let Some(why) = stale(&active[idx], &reqs, clients) {
+                // A sibling clone finished first, or the client timed this
+                // attempt out mid-decode: cancel before it emits another
+                // token.
                 let job = active.remove(idx);
                 let _ = kv.release(job.cache_id());
-                live[job.rid()] -= 1;
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    if job.admitted_ms.is_finite() {
-                        rec.span(
-                            pid_req,
-                            tid,
-                            "request",
-                            "decode",
-                            ms_to_us(job.admitted_ms),
-                            ms_to_us(clock_ms),
-                        );
-                    }
-                    rec.instant(pid_req, tid, "request", "cancel", ms_to_us(clock_ms));
-                }
+                reqs[job.rid()].live -= 1;
+                ostats.zombies_cancelled += usize::from(why == "cancel-zombie");
+                sink.close_and_mark(&job, why, clock_ms);
                 continue;
             }
-            if clients.is_some() && active[idx].attempt != attempt_cur[active[idx].rid()] {
-                // Client timed this attempt out mid-decode: cancel before
-                // it emits another token.
-                let job = active.remove(idx);
-                let _ = kv.release(job.cache_id());
-                live[job.rid()] -= 1;
-                ostats.zombies_cancelled += 1;
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    if job.admitted_ms.is_finite() {
-                        rec.span(
-                            pid_req,
-                            tid,
-                            "request",
-                            "decode",
-                            ms_to_us(job.admitted_ms),
-                            ms_to_us(clock_ms),
-                        );
-                    }
-                    rec.instant(pid_req, tid, "request", "cancel-zombie", ms_to_us(clock_ms));
-                }
-                continue;
-            }
-            let want = match cfg.engine.mtp.as_ref().filter(|_| !mtp_off) {
-                None => 1,
-                Some(mtp) => {
-                    // The verified token always lands; the draft chain
-                    // breaks at the first rejection (§2.3.3).
-                    let mut k = 1;
-                    for _ in 0..mtp.modules {
-                        if rng.gen_bool(mtp.acceptance) {
-                            k += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    k
-                }
-            };
+            // The verified token always lands; the draft chain breaks at
+            // the first rejection (§2.3.3).
+            let want = 1 + mtp
+                .map_or(0, |m| (0..m.modules).take_while(|_| rng.gen_bool(m.acceptance)).count());
             let id = active[idx].cache_id();
             let need = (active[idx].req.output_tokens - active[idx].generated).min(want);
             let mut emitted = 0;
@@ -1439,20 +1468,7 @@ fn simulate(
                             let held = kv.release(victim.cache_id()).expect("victim was admitted");
                             victim.resident_tokens = held;
                             victim.ready_ms = clock_ms;
-                            if on {
-                                let tid = rec.thread(pid_req, &req_label(&victim));
-                                if victim.admitted_ms.is_finite() {
-                                    rec.span(
-                                        pid_req,
-                                        tid,
-                                        "request",
-                                        "decode",
-                                        ms_to_us(victim.admitted_ms),
-                                        ms_to_us(clock_ms),
-                                    );
-                                }
-                                rec.instant(pid_req, tid, "request", "preempt", ms_to_us(clock_ms));
-                            }
+                            sink.close_and_mark(&victim, "preempt", clock_ms);
                             victim.admitted_ms = f64::NAN;
                             ready.push_front(victim);
                             preemptions += 1;
@@ -1461,31 +1477,13 @@ fn simulate(
                             // can never finish. Drop it.
                             let job = active.remove(idx);
                             let _ = kv.release(job.cache_id());
-                            live[job.rid()] -= 1;
-                            if live[job.rid()] == 0 {
-                                done[job.rid()] = true;
+                            let r = &mut reqs[job.rid()];
+                            r.live -= 1;
+                            if r.live == 0 {
+                                r.done = true;
                                 dropped += 1;
                             }
-                            if on {
-                                let tid = rec.thread(pid_req, &req_label(&job));
-                                if job.admitted_ms.is_finite() {
-                                    rec.span(
-                                        pid_req,
-                                        tid,
-                                        "request",
-                                        "decode",
-                                        ms_to_us(job.admitted_ms),
-                                        ms_to_us(clock_ms),
-                                    );
-                                }
-                                rec.instant(
-                                    pid_req,
-                                    tid,
-                                    "request",
-                                    "drop-oom",
-                                    ms_to_us(clock_ms),
-                                );
-                            }
+                            sink.close_and_mark(&job, "drop-oom", clock_ms);
                             dropped_self = true;
                             break;
                         } else {
@@ -1504,29 +1502,31 @@ fn simulate(
             }
             if emitted > 0 {
                 tokens_emitted += emitted as u64;
-                active[idx].generated += emitted;
+                let job = &mut active[idx];
+                job.generated += emitted;
+                let r = &mut reqs[job.rid()];
                 if clients.is_some() {
                     // A streaming attempt is safe from its client timeout.
-                    served_first_token[active[idx].rid()] = true;
+                    r.streaming = true;
                 }
-                if active[idx].first_token_ms.is_none() {
-                    active[idx].first_token_ms = Some(clock_ms);
-                    if !ttft_recorded[active[idx].rid()] {
-                        ttft_recorded[active[idx].rid()] = true;
-                        ttft_samples.push(clock_ms - active[idx].req.arrival_ms);
+                if job.first_token_ms.is_none() {
+                    job.first_token_ms = Some(clock_ms);
+                    if !r.ttft_recorded {
+                        r.ttft_recorded = true;
+                        ttft_samples.push(clock_ms - job.req.arrival_ms);
                     }
                 }
             }
             if active[idx].generated >= active[idx].req.output_tokens {
                 let job = active.remove(idx);
                 let _ = kv.release(job.cache_id());
-                live[job.rid()] -= 1;
-                done[job.rid()] = true;
+                let r = &mut reqs[job.rid()];
+                r.live -= 1;
+                r.done = true;
                 if job.clone_tag == 1 {
                     fstate.stats.hedge_wins += 1;
                 }
-                let is_corrupt = corrupted[job.rid()];
-                if is_corrupt {
+                if r.corrupted {
                     fstate.stats.corrupted_completions += 1;
                 }
                 // lint:allow(P1) — generated >= output_tokens >= 1, and the emit loop sets first_token_ms on the first token; a fallback value would fabricate a TTFT sample
@@ -1541,85 +1541,28 @@ fn simulate(
                     0.0
                 };
                 e2e_samples.push(e2e);
-                let is_good = ttft <= cfg.slo.ttft_ms && tpot <= cfg.slo.tpot_ms && !is_corrupt;
-                if is_good {
-                    good += 1;
-                }
+                let is_good = ttft <= cfg.slo.ttft_ms && tpot <= cfg.slo.tpot_ms && !r.corrupted;
+                good += usize::from(is_good);
                 completed += 1;
                 if window_ms > 0.0 {
-                    let w = (clock_ms / window_ms) as usize;
-                    if windows.len() <= w {
-                        windows.resize(w + 1, (0, 0, 0));
-                    }
-                    windows[w].1 += 1;
-                    if is_good {
-                        windows[w].2 += 1;
-                    }
+                    let w = window(&mut windows, clock_ms, window_ms);
+                    w[1] += 1;
+                    w[2] += usize::from(is_good);
                 }
-                if on {
-                    let tid = rec.thread(pid_req, &req_label(&job));
-                    if job.admitted_ms.is_finite() {
-                        rec.span(
-                            pid_req,
-                            tid,
-                            "request",
-                            "decode",
-                            ms_to_us(job.admitted_ms),
-                            ms_to_us(clock_ms),
-                        );
-                    }
-                    rec.instant(pid_req, tid, "request", "complete", ms_to_us(clock_ms));
-                    rec.observe(&m_ttft, ttft);
-                    if job.req.output_tokens > 1 {
-                        rec.observe(&m_tpot, tpot);
-                    }
-                    rec.observe(&m_e2e, e2e);
-                    let ok = |pass: bool| if pass { 1.0 } else { 0.0 };
-                    rec.series(&s_ttft_ok, clock_ms, ok(ttft <= cfg.slo.ttft_ms));
-                    if job.req.output_tokens > 1 {
-                        rec.series(&s_tpot_ok, clock_ms, ok(tpot <= cfg.slo.tpot_ms));
-                    }
-                    rec.series(&s_good, clock_ms, ok(is_good));
-                }
+                sink.complete(&job, clock_ms, ttft, tpot, e2e, is_good);
             } else {
                 idx += 1;
             }
         }
 
+        let kv_util = kv.utilization();
         qdepth_samples.push(ready.len() as f64);
-        kvutil_samples.push(kv.utilization());
-        if on {
-            let ts = ms_to_us(clock_ms);
-            rec.counter_sample(pid_engine, &m_batch, ts, step_batch as f64);
-            rec.counter_sample(pid_engine, &m_queue, ts, ready.len() as f64);
-            rec.counter_sample(pid_engine, &m_kv, ts, kv.utilization());
-            rec.series(&m_batch, clock_ms, step_batch as f64);
-            rec.series(&m_queue, clock_ms, ready.len() as f64);
-            rec.series(&m_kv, clock_ms, kv.utilization());
-            if ov_any {
-                rec.counter_sample(pid_engine, &m_rung, ts, ladder.level as f64);
-                rec.series(&m_rung, clock_ms, ladder.level as f64);
-                if let Some(ast) = &ascale {
-                    rec.counter_sample(pid_engine, &m_decode_live, ts, ast.decode_live as f64);
-                    rec.counter_sample(pid_engine, &m_prefill_live, ts, ast.prefill_live as f64);
-                    rec.series(&m_decode_live, clock_ms, ast.decode_live as f64);
-                    rec.series(&m_prefill_live, clock_ms, ast.prefill_live as f64);
-                }
-            }
-            // Per-replica active-load series for the straggler detector,
-            // using the same index→replica mapping as crash handling.
+        kvutil_samples.push(kv_util);
+        if sink.on {
+            let pools = ascale.as_ref().map(|s| (s.decode_live, s.prefill_live));
+            let samples = [step_batch as f64, ready.len() as f64, kv_util];
             let rmap = ascale.as_ref().map_or(fstate.replicas, |s| s.decode_live.max(1));
-            while s_replica.len() < rmap {
-                s_replica.push(format!("{scope}.replica{}.active", s_replica.len()));
-            }
-            replica_counts.clear();
-            replica_counts.resize(rmap, 0);
-            for i in 0..active.len() {
-                replica_counts[i % rmap] += 1;
-            }
-            for (name, &c) in s_replica.iter().zip(&replica_counts) {
-                rec.series(name, clock_ms, f64::from(c));
-            }
+            sink.step(clock_ms, samples, ladder.level, pools, active.len(), rmap);
         }
     }
 
@@ -1642,21 +1585,7 @@ fn simulate(
         goodput_rps: good as f64 / sim_s,
         slo_attainment: good as f64 / total_requests.max(1) as f64,
     };
-    if on {
-        rec.counter_add(&format!("{scope}.requests"), total_requests as u64);
-        rec.counter_add(&format!("{scope}.completed"), completed as u64);
-        rec.counter_add(&format!("{scope}.dropped"), dropped as u64);
-        rec.counter_add(&format!("{scope}.preemptions"), preemptions as u64);
-        rec.counter_add(&format!("{scope}.decode_steps"), steps as u64);
-        rec.counter_add(&format!("{scope}.tokens"), tokens_emitted);
-        rec.counter_add(&format!("{scope}.retries"), stats.retries as u64);
-        rec.counter_add(&format!("{scope}.rejected"), stats.rejected as u64);
-        rec.counter_add(&format!("{scope}.hedge_wins"), stats.hedge_wins as u64);
-        rec.gauge_set(&format!("{scope}.slo_attainment"), serving.slo_attainment);
-        rec.gauge_set(&format!("{scope}.throughput_tokens_per_s"), serving.throughput_tokens_per_s);
-        rec.gauge_set(&format!("{scope}.sim_duration_ms"), serving.sim_duration_ms);
-    }
-    let autoscale_stats = match ascale {
+    let autoscale = match ascale {
         Some(mut ast) => {
             ast.stats.decode_final = ast.decode_live;
             ast.stats.prefill_final = ast.prefill_live;
@@ -1664,10 +1593,10 @@ fn simulate(
         }
         None => AutoscaleStats::default(),
     };
-    let timeline: Vec<GoodputWindow> = windows
+    let timeline = windows
         .iter()
         .enumerate()
-        .map(|(i, &(off, comp, g))| GoodputWindow {
+        .map(|(i, &[off, comp, g])| GoodputWindow {
             start_ms: i as f64 * window_ms,
             offered: off,
             completed: comp,
@@ -1675,31 +1604,10 @@ fn simulate(
             goodput_rps: g as f64 / ms_to_s(window_ms),
         })
         .collect();
-    if on && ov_any {
-        let shed = ostats.shed_queue_full
-            + ostats.shed_rate_limited
-            + ostats.shed_deadline
-            + ostats.shed_priority
-            + ostats.shed_context;
-        rec.counter_add(&format!("{scope}.ov_offered_attempts"), ostats.offered_attempts as u64);
-        rec.counter_add(&format!("{scope}.ov_shed"), shed as u64);
-        rec.counter_add(&format!("{scope}.ov_client_timeouts"), ostats.client_timeouts as u64);
-        rec.counter_add(&format!("{scope}.ov_client_retries"), ostats.client_retries as u64);
-        rec.counter_add(&format!("{scope}.ov_zombies_cancelled"), ostats.zombies_cancelled as u64);
-        rec.counter_add(&format!("{scope}.ov_rejected"), ostats.rejected as u64);
-        rec.counter_add(&format!("{scope}.ov_rung_transitions"), ostats.rung_transitions as u64);
-        rec.counter_add(
-            &format!("{scope}.ov_breaker_ejections"),
-            autoscale_stats.breaker_ejections as u64,
-        );
-    }
-    OverloadServingReport {
-        serving,
-        faults: stats,
-        overload: ostats,
-        autoscale: autoscale_stats,
-        timeline,
-    }
+    let report =
+        OverloadServingReport { serving, faults: stats, overload: ostats, autoscale, timeline };
+    sink.finish(&report, tokens_emitted);
+    report
 }
 
 #[cfg(test)]
@@ -1714,6 +1622,17 @@ mod tests {
             requests,
             router,
         )
+    }
+
+    /// The traced loop with the overload layer off and default recovery.
+    fn traced(
+        cfg: &ServingSimConfig,
+        plan: &FaultPlan,
+        rec: &mut Recorder,
+        scope: &str,
+    ) -> OverloadServingReport {
+        let (policy, ov) = (RecoveryPolicy::default(), OverloadConfig::disabled());
+        run_overload_traced(cfg, plan, &policy, &ov, rec, scope)
     }
 
     fn crash(at_ms: f64, replica: usize, repair_ms: f64) -> dsv3_faults::FaultEvent {
@@ -1952,7 +1871,7 @@ mod tests {
         let cfg = poisson_cfg(10.0, 200, RouterPolicy::Unified);
         let plain = run(&cfg);
         let mut rec = Recorder::new();
-        let traced = run_traced(&cfg, &mut rec, "serving");
+        let traced = traced(&cfg, &FaultPlan::healthy(), &mut rec, "serving").serving;
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&traced).unwrap(),
@@ -1967,7 +1886,7 @@ mod tests {
     fn disabled_recorder_is_a_no_op() {
         let cfg = poisson_cfg(10.0, 200, RouterPolicy::Disaggregated { prefill_fraction: 0.5 });
         let mut rec = Recorder::disabled();
-        let traced = run_traced(&cfg, &mut rec, "serving");
+        let traced = traced(&cfg, &FaultPlan::healthy(), &mut rec, "serving").serving;
         assert_eq!(
             serde_json::to_string(&run(&cfg)).unwrap(),
             serde_json::to_string(&traced).unwrap()
@@ -1987,7 +1906,8 @@ mod tests {
         };
         let trace = |()| {
             let mut rec = Recorder::new();
-            let _ = run_with_faults_traced(&cfg, &plan, &RecoveryPolicy::hedged(), &mut rec, "s");
+            let ov = OverloadConfig::disabled();
+            let _ = run_overload_traced(&cfg, &plan, &RecoveryPolicy::hedged(), &ov, &mut rec, "s");
             rec.export_trace().to_json()
         };
         assert_eq!(trace(()), trace(()), "same seed, byte-identical trace");
@@ -2003,7 +1923,7 @@ mod tests {
             events: vec![crash(2_000.0, 0, 3_000.0)],
         };
         let mut rec = Recorder::new();
-        let r = run_with_faults_traced(&cfg, &plan, &RecoveryPolicy::default(), &mut rec, "s");
+        let r = traced(&cfg, &plan, &mut rec, "s");
         assert!(r.faults.jobs_lost_to_crashes > 0, "crash must land mid-flight");
         let events = rec.events();
         let spans = |name: &str| events.iter().filter(|e| e.ph == "X" && e.name == name).count();
@@ -2207,6 +2127,28 @@ mod tests {
             run_overload(&cfg, &FaultPlan::healthy(), &RecoveryPolicy::default(), &ov)
         });
         assert!(err.is_err(), "healthy() has 1 replica, decode_base is 4: must panic");
+    }
+
+    #[test]
+    #[should_panic(expected = "MTP step overhead must be non-negative")]
+    fn negative_mtp_step_overhead_is_rejected() {
+        let mut cfg = poisson_cfg(8.0, 50, RouterPolicy::Unified);
+        cfg.engine.mtp = Some(MtpSpec { modules: 1, acceptance: 0.8, step_overhead: -3.0 });
+        let _ = run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "MTP acceptance must lie in [0, 1]")]
+    fn mtp_acceptance_above_one_is_rejected() {
+        let mut cfg = poisson_cfg(8.0, 50, RouterPolicy::Unified);
+        cfg.engine.mtp = Some(MtpSpec { modules: 1, acceptance: 1.5, step_overhead: 0.02 });
+        let _ = run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefill fraction must lie in (0, 1)")]
+    fn empty_prefill_pool_is_rejected() {
+        let _ = run(&poisson_cfg(8.0, 50, RouterPolicy::Disaggregated { prefill_fraction: 0.0 }));
     }
 
     #[test]

@@ -13,18 +13,18 @@
 //! step times (§2.3.2), KV-cache admission/preemption, and optional MTP
 //! speculative decoding (§2.3.3) → [`metrics`] summarizes.
 //!
-//! Faults: [`engine::run_with_faults`] drives the same engine under a
-//! deterministic `dsv3_faults::FaultPlan` (replica crashes, plane flaps,
-//! stragglers, SDC) with recovery policies — an empty plan reproduces
-//! [`run`]'s report byte-for-byte.
-//!
-//! Overload: [`engine::run_overload`] layers [`overload`] (admission
-//! control, a graceful-degradation ladder, closed-loop retrying clients)
-//! and [`autoscale`] (reactive pool scaling with provisioning lag and a
-//! crash-loop circuit breaker) on the same loop — retry storms and
-//! metastable overload become reproducible, then defeatable. A
-//! [`OverloadConfig::disabled`] run reproduces [`run_with_faults`]
-//! byte-for-byte.
+//! One loop, [`run_overload_traced`], runs every simulation; the other
+//! entry points fix some of its inputs. Faults: [`run_with_faults`]
+//! drives the engine under a deterministic `dsv3_faults::FaultPlan`
+//! (replica crashes, plane flaps, stragglers, SDC) with recovery policies
+//! — [`run`] is the empty plan. Overload: [`run_overload`] layers
+//! [`overload`] (admission control, a graceful-degradation ladder,
+//! closed-loop retrying clients) and [`autoscale`] (reactive pool scaling
+//! with provisioning lag and a crash-loop circuit breaker) on the same
+//! loop — retry storms and metastable overload become reproducible, then
+//! defeatable; [`run_with_faults`] is [`OverloadConfig::disabled`].
+//! Telemetry: [`run_overload_traced`] records into a
+//! `dsv3_telemetry::Recorder`; the others pass a disabled one.
 //!
 //! ```
 //! use dsv3_serving::{run, ArrivalProcess, RouterPolicy, ServingSimConfig};
@@ -50,9 +50,8 @@ pub mod workload;
 
 pub use autoscale::{AutoscaleConfig, AutoscaleStats, BreakerConfig};
 pub use engine::{
-    run, run_overload, run_overload_traced, run_traced, run_with_faults, run_with_faults_traced,
-    EngineConfig, FaultStats, FaultyServingReport, MtpSpec, ServingReport, ServingSimConfig,
-    SloConfig,
+    run, run_overload, run_overload_traced, run_with_faults, EngineConfig, FaultStats,
+    FaultyServingReport, MtpSpec, ServingReport, ServingSimConfig, SloConfig,
 };
 pub use metrics::{percentile, Summary};
 pub use overload::{

@@ -25,14 +25,20 @@ impl RouterPolicy {
     /// Multiplier on the decode step time from shrinking the decode pool
     /// (1.0 for the unified pool). Matches
     /// `dsv3_inference::disagg::disaggregated_tpot`'s conservative bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a disaggregated `prefill_fraction` lies in `(0, 1)`:
+    /// at 0 the prefill pool is empty and no request ever reaches decode,
+    /// at 1 no decode GPUs remain.
     #[must_use]
     pub fn decode_slowdown(&self) -> f64 {
         match self {
             RouterPolicy::Unified => 1.0,
             RouterPolicy::Disaggregated { prefill_fraction } => {
                 assert!(
-                    (0.0..1.0).contains(prefill_fraction),
-                    "prefill fraction must leave decode GPUs"
+                    *prefill_fraction > 0.0 && *prefill_fraction < 1.0,
+                    "prefill fraction must lie in (0, 1)"
                 );
                 (1.0 / (1.0 - prefill_fraction)).min(2.0)
             }

@@ -79,6 +79,41 @@ echo "==> audit smoke: dsv3 audit overload fires the watchdog deterministically"
 ./target/release/dsv3 audit overload --incidents-out "$incidents_tmp" > /dev/null
 grep -q '"detector": "metastability"' "$incidents_tmp"
 
+# Deterministic checks run before the wall-clock gates below, so a gate
+# that fails for host-speed reasons cannot hide a correctness failure.
+echo "==> benchmark correctness: fp8-train at seeds 17 and 23, deepep at seeds 7 and 8, overload and audit at seeds 20250808 and 1, registry-rest"
+# dsv3-bench checks every operation's output against the digests in
+# perfbench/golden/: this pins the 30-step training reports at both seeds,
+# the Figure 7 DeepEP rounds (exactly `dsv3 fig7 --json` at seed 7) that
+# run the incremental max-min solver, the serving engine's overload sweep
+# reports (overload) and their traces and incident reports (audit), and
+# the registry entries that reach the numerics fast path or the flow
+# simulator.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin dsv3-bench
+bench_correct() {
+  local line
+  line="$(perfbench/target/release/dsv3-bench --seconds 2 --trace 0 "$@" 2>/dev/null | tail -n 1)"
+  if [[ "$line" != *'"correct":true'* ]]; then
+    echo "dsv3-bench $* is not correct: $line" >&2
+    exit 1
+  fi
+}
+bench_correct --workload fp8-train --seed 17
+bench_correct --workload fp8-train --seed 23
+bench_correct --workload deepep --seed 7
+bench_correct --workload deepep --seed 8
+bench_correct --workload overload --seed 20250808
+bench_correct --workload overload --seed 1
+bench_correct --workload audit --seed 20250808
+bench_correct --workload audit --seed 1
+bench_correct --workload registry-rest
+
+echo "==> examples build"
+cargo build --release --offline --examples
+
+echo "==> full workspace tests"
+cargo test -q --workspace --offline
+
 echo "==> bench gate: watch overhead within budget, no >25% regression"
 scripts/bench_gate.sh run watch
 
@@ -93,32 +128,5 @@ scripts/bench_gate.sh run memtl
 
 echo "==> bench gate: overload sweep, no >25% regression"
 scripts/bench_gate.sh run overload
-
-echo "==> benchmark correctness: fp8-train at seeds 17 and 23, deepep at seeds 7 and 8, registry-rest"
-# dsv3-bench checks every operation's output against the digests in
-# perfbench/golden/: this pins the 30-step training reports at both seeds,
-# the Figure 7 DeepEP rounds (exactly `dsv3 fig7 --json` at seed 7) that
-# run the incremental max-min solver, and the registry entries that reach
-# the numerics fast path or the flow simulator.
-cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin dsv3-bench
-bench_correct() {
-  local line
-  line="$(perfbench/target/release/dsv3-bench --seconds 2 --trace 0 "$@" 2>/dev/null | tail -n 1)"
-  if [[ "$line" != *'"correct":true'* ]]; then
-    echo "dsv3-bench $* is not correct: $line" >&2
-    exit 1
-  fi
-}
-bench_correct --workload fp8-train --seed 17
-bench_correct --workload fp8-train --seed 23
-bench_correct --workload deepep --seed 7
-bench_correct --workload deepep --seed 8
-bench_correct --workload registry-rest
-
-echo "==> examples build"
-cargo build --release --offline --examples
-
-echo "==> full workspace tests"
-cargo test -q --workspace --offline
 
 echo "CI green."

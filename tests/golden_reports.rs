@@ -12,9 +12,16 @@
 //! `fig7` at its default registry parameters, `fig8`, `table5`,
 //! `net-chaos`, `future-hardware`) is pinned too, so the incremental
 //! max-min solver provably changes no printed byte either.
+//!
+//! `overload` is pinned the same way, so every consumer of the serving
+//! engine has a text and JSON golden. The engine's side channels are
+//! pinned too: for `serving` and `fault-drill` (crashes, hedging, plane
+//! flaps, SDC), the FNV-1a digests of the Chrome trace (`--trace-out`),
+//! the metrics snapshot (`--metrics-out`) and the watchdog incident
+//! report (`--incidents-out`) of one `dsv3 audit` run must not change.
 
 use dsv3_core::registry;
-use dsv3_core::telemetry::Recorder;
+use dsv3_core::telemetry::{Recorder, WatchConfig};
 
 fn entry(name: &str) -> dsv3_core::Entry {
     registry().into_iter().find(|e| e.name == name).expect("registered")
@@ -158,6 +165,44 @@ fn future_hardware_text_report_matches_golden() {
 #[test]
 fn future_hardware_json_report_matches_golden() {
     assert_eq!(json("future-hardware"), include_str!("golden/future_hardware.json"));
+}
+
+#[test]
+fn overload_text_report_matches_golden() {
+    assert_eq!(rendered("overload"), include_str!("golden/overload.txt"));
+}
+
+#[test]
+fn overload_json_report_matches_golden() {
+    assert_eq!(json("overload"), include_str!("golden/overload.json"));
+}
+
+/// FNV-1a, 64-bit: the trace files run to megabytes, so they are pinned
+/// by digest rather than checked in.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Trace, metrics snapshot and incident report of one audited run are
+/// byte-identical to the captures: `(name, trace, snapshot, incidents)`.
+#[test]
+fn audited_side_channels_match_golden_digests() {
+    for (name, trace, snapshot, incidents) in [
+        ("serving", 0xb7f0_1170_f333_b306, 0x6e99_74e2_8eeb_3cb4, 0x3d83_fe22_fc94_52a6),
+        ("fault-drill", 0x3160_f447_e3f2_82a9, 0xbc54_4fb9_84c4_35be, 0xa708_405b_82bd_21cb),
+    ] {
+        let mut rec = Recorder::new();
+        let w = entry(name).run_watched(&mut rec, &WatchConfig::default()).expect("traceable");
+        let snap = serde_json::to_string_pretty(&rec.snapshot()).expect("snapshot serializes");
+        let got = (
+            fnv1a(rec.export_trace().to_json().as_bytes()),
+            fnv1a(snap.as_bytes()),
+            fnv1a(w.incidents.to_json().as_bytes()),
+        );
+        assert_eq!(got, (trace, snapshot, incidents), "{name}: {got:016x?}");
+    }
 }
 
 /// The instrumented path computes the same report the plain path does —
