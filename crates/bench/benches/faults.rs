@@ -7,6 +7,7 @@ use dsv3_core::experiments::fault_drill;
 use dsv3_core::faults::{simulate_goodput, FaultPlan, FaultPlanConfig, RecoveryPolicy};
 use dsv3_core::model::availability::AvailabilityModel;
 use dsv3_core::serving::{run, run_with_faults, ArrivalProcess, RouterPolicy, ServingSimConfig};
+use dsv3_core::telemetry::Recorder;
 use std::hint::black_box;
 
 fn drill_plan(seed: u64) -> FaultPlan {
@@ -24,7 +25,10 @@ fn drill_plan(seed: u64) -> FaultPlan {
 }
 
 fn bench_faults(c: &mut Criterion) {
-    println!("{}", fault_drill::render());
+    println!(
+        "{}",
+        fault_drill::render(&fault_drill::run(fault_drill::seed(), &mut Recorder::disabled()))
+    );
 
     let mut g = c.benchmark_group("faults");
     g.sample_size(10);

@@ -5,11 +5,11 @@ use dsv3_core::experiments::{fig5, fig6, fig7, fig8};
 use std::hint::black_box;
 
 fn bench_figures(c: &mut Criterion) {
-    println!("{}", fig5::render());
-    println!("{}", fig6::render());
+    println!("{}", fig5::render(&fig5::run()));
+    println!("{}", fig6::render(&fig6::run()));
     // Full paper scale: 4096 tokens per GPU.
-    println!("{}", fig7::render(4096));
-    println!("{}", fig8::render());
+    println!("{}", fig7::render(&fig7::run(4096)));
+    println!("{}", fig8::render(&fig8::run()));
 
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);

@@ -8,10 +8,10 @@ use dsv3_core::model::zoo;
 use std::hint::black_box;
 
 fn bench_inference(c: &mut Criterion) {
-    println!("{}", speed_limits::render());
-    println!("{}", mtp::render());
-    println!("{}", node_limited::render());
-    println!("{}", local_deploy::render());
+    println!("{}", speed_limits::render(&speed_limits::run()));
+    println!("{}", mtp::render(&mtp::run()));
+    println!("{}", node_limited::render(&node_limited::run(2000)));
+    println!("{}", local_deploy::render(&local_deploy::run()));
 
     let mut g = c.benchmark_group("inference");
     g.bench_function("speed_limits", |b| b.iter(|| black_box(speed_limits::run())));

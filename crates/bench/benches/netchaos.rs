@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dsv3_core::experiments::net_chaos;
 use dsv3_core::netsim::chaos::{ChaosConfig, LinkFlap, LinkSchedule, ReroutePolicy};
 use dsv3_core::netsim::{ChaosSim, Link};
+use dsv3_core::telemetry::Recorder;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 
@@ -51,7 +52,10 @@ fn flapping() -> ChaosConfig {
 }
 
 fn bench_netchaos(c: &mut Criterion) {
-    println!("{}", net_chaos::render());
+    println!(
+        "{}",
+        net_chaos::render(&net_chaos::run(net_chaos::seed(), &mut Recorder::disabled()))
+    );
 
     let mut g = c.benchmark_group("netchaos");
     g.sample_size(10);
@@ -63,7 +67,9 @@ fn bench_netchaos(c: &mut Criterion) {
         let cfg = flapping();
         b.iter(|| black_box(chaos_sim().run(&cfg)))
     });
-    g.bench_function("net_chaos_full_sweep", |b| b.iter(|| black_box(net_chaos::run())));
+    g.bench_function("net_chaos_full_sweep", |b| {
+        b.iter(|| black_box(net_chaos::run(net_chaos::seed(), &mut Recorder::disabled())))
+    });
     g.finish();
 }
 

@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsv3_core::experiments::{fp8_gemm, fp8_training, logfmt};
+use dsv3_core::model::train::TrainConfig;
 use dsv3_core::numerics::gemm::{gemm_fp8, Fp8GemmConfig, MainAccumulator};
 use dsv3_core::numerics::logfmt::logfmt_quantize;
 use dsv3_core::numerics::minifloat::Format;
@@ -9,9 +10,9 @@ use dsv3_core::numerics::Matrix;
 use std::hint::black_box;
 
 fn bench_numerics(c: &mut Criterion) {
-    println!("{}", fp8_gemm::render());
-    println!("{}", logfmt::render());
-    println!("{}", fp8_training::render());
+    println!("{}", fp8_gemm::render(&fp8_gemm::run(&fp8_gemm::default_ks())));
+    println!("{}", logfmt::render(&logfmt::run()));
+    println!("{}", fp8_training::render(&fp8_training::run(TrainConfig::default())));
 
     let mut g = c.benchmark_group("numerics");
     g.sample_size(10);

@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsv3_core::experiments::serving as serving_experiment;
 use dsv3_core::serving::{run, workload, ArrivalProcess, RouterPolicy, ServingSimConfig};
+use dsv3_core::telemetry::Recorder;
 use std::hint::black_box;
 
 fn bench_serving(c: &mut Criterion) {
-    println!("{}", serving_experiment::render());
+    println!("{}", serving_experiment::render(&serving_experiment::run(&mut Recorder::disabled())));
 
     let mut g = c.benchmark_group("serving");
     g.sample_size(10);
@@ -28,7 +29,9 @@ fn bench_serving(c: &mut Criterion) {
             b.iter(|| black_box(run(cfg)))
         });
     }
-    g.bench_function("experiment_comparison", |b| b.iter(|| black_box(serving_experiment::run())));
+    g.bench_function("experiment_comparison", |b| {
+        b.iter(|| black_box(serving_experiment::run(&mut Recorder::disabled())))
+    });
     g.finish();
 }
 

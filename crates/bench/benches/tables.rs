@@ -7,11 +7,11 @@ use std::hint::black_box;
 fn bench_tables(c: &mut Criterion) {
     // Print each regenerated table once so `cargo bench` output contains the
     // paper's rows.
-    println!("{}", table1::render());
-    println!("{}", table2::render());
-    println!("{}", table3::render());
-    println!("{}", table4::render());
-    println!("{}", table5::render());
+    println!("{}", table1::render(&table1::run()));
+    println!("{}", table2::render(&table2::run()));
+    println!("{}", table3::render(&table3::run()));
+    println!("{}", table4::render(&table4::run()));
+    println!("{}", table5::render(&table5::run()));
 
     let mut g = c.benchmark_group("tables");
     g.bench_function("table1_kv_cache", |b| b.iter(|| black_box(table1::run())));

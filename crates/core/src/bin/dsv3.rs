@@ -14,29 +14,67 @@
 //! ```
 //!
 //! The experiment table itself lives in [`dsv3_core::registry`] so tests
-//! can drive the exact same entry points. Telemetry flags route through
-//! each entry's `instrumented` hook; without them the plain path runs and
-//! output is byte-identical to pre-telemetry builds.
+//! can drive the exact same entry points. Every experiment runs once
+//! through its entry's `run` against one recorder, enabled only under
+//! `--trace-out`/`--metrics-out`; the table, the JSON and the telemetry
+//! files all come from that run. A disabled recorder records nothing,
+//! so plain output is byte-identical to pre-telemetry builds.
+//!
+//! All of stdout goes through `emit`: a reader that goes away early
+//! (`dsv3 all | head`) ends the run cleanly instead of panicking.
 
 use dsv3_core::registry::{registry, Entry};
 use dsv3_core::telemetry::{
-    validate_chrome_trace, validate_metrics_document, MetricsDocument, Recorder, RunManifest,
-    WatchConfig,
+    manifest_wrap, validate_chrome_trace, validate_metrics_document, MetricsDocument, Recorder,
+    RunManifest, WatchConfig,
 };
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
-fn usage(entries: &[Entry]) {
-    println!("dsv3 — reproduce 'Insights into DeepSeek-V3' (ISCA '25)\n");
-    println!("usage: dsv3 <experiment> [--json] [--trace-out <path>] [--metrics-out <path>]");
-    println!("       dsv3 audit <experiment> [--json] [--incidents-out <path>]");
-    println!("       dsv3 all [--json] | dsv3 list");
-    println!("       dsv3 check-trace <path> | dsv3 check-metrics <path>");
-    println!("       dsv3 lint [--rules <R1,R2,..>] [--baseline <path>] [--readiness]\n");
-    println!("experiments:");
-    for e in entries {
-        let tag = if e.instrumented.is_some() { " [traceable]" } else { "" };
-        println!("  {:<16} {}{}", e.name, e.about, tag);
+/// Write to stdout. A closed pipe is a clean exit (`Err(SUCCESS)`) and
+/// any other write error a failed one, so callers stop at `?` either way.
+fn emit(text: std::fmt::Arguments<'_>) -> Result<(), ExitCode> {
+    match std::io::stdout().lock().write_fmt(text) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Err(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            Err(ExitCode::FAILURE)
+        }
     }
+}
+
+/// `println!` through [`emit`], returning early when stdout is gone.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
+fn usage(entries: &[Entry]) -> Result<(), ExitCode> {
+    outln!("dsv3 — reproduce 'Insights into DeepSeek-V3' (ISCA '25)\n");
+    outln!("usage: dsv3 <experiment> [--json] [--trace-out <path>] [--metrics-out <path>]");
+    outln!("       dsv3 audit <experiment> [--json] [--incidents-out <path>]");
+    outln!("       dsv3 all [--json] | dsv3 list");
+    outln!("       dsv3 check-trace <path> | dsv3 check-metrics <path>");
+    outln!("       dsv3 lint [--rules <R1,R2,..>] [--baseline <path>] [--readiness]\n");
+    outln!("experiments:");
+    for e in entries {
+        let tag = if e.traceable { " [traceable]" } else { "" };
+        outln!("  {:<16} {}{}", e.name, e.about, tag);
+    }
+    Ok(())
+}
+
+/// The entry called `name`; `fault_drill` finds `fault-drill` too, since
+/// underscores are a natural thing to type. Unknown names print usage.
+fn find<'a>(entries: &'a [Entry], name: &str) -> Result<&'a Entry, ExitCode> {
+    if let Some(e) = entries.iter().find(|e| e.name.replace('-', "_") == name.replace('-', "_")) {
+        return Ok(e);
+    }
+    eprintln!("unknown experiment '{name}'\n");
+    usage(entries)?;
+    Err(ExitCode::FAILURE)
 }
 
 /// Parsed command line: positional words plus the recognized flags.
@@ -98,54 +136,53 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-fn check_trace(path: &str) -> ExitCode {
+fn check_trace(path: &str) -> Result<(), ExitCode> {
     let json = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("check-trace: cannot read '{path}': {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     match validate_chrome_trace(&json) {
         Ok(stats) => {
-            println!(
+            outln!(
                 "{path}: valid Chrome trace — {} events ({} spans, {} instants, {} counter samples, {} metadata)",
                 stats.events, stats.spans, stats.instants, stats.counters, stats.metadata
             );
-            ExitCode::SUCCESS
+            Ok(())
         }
         Err(e) => {
             eprintln!("check-trace: '{path}' is not a valid Chrome trace: {e}");
-            ExitCode::FAILURE
+            Err(ExitCode::FAILURE)
         }
     }
 }
 
-fn check_metrics(path: &str) -> ExitCode {
+fn check_metrics(path: &str) -> Result<(), ExitCode> {
     let json = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("check-metrics: cannot read '{path}': {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     match validate_metrics_document(&json) {
         Ok(stats) => {
-            println!(
+            outln!(
                 "{path}: valid metrics document — {} counters, {} gauges, {} histograms, {} dropped events",
                 stats.counters, stats.gauges, stats.histograms, stats.dropped_events
             );
-            ExitCode::SUCCESS
+            Ok(())
         }
         Err(e) => {
             eprintln!("check-metrics: '{path}' is not a valid metrics document: {e}");
-            ExitCode::FAILURE
+            Err(ExitCode::FAILURE)
         }
     }
 }
 
-/// Shared tail of `run_instrumented` and `run_audit`: write the optional
-/// trace/metrics artifacts for a completed recording.
+/// Write the optional trace/metrics artifacts for a completed recording.
 fn write_telemetry(rec: &Recorder, manifest: &RunManifest, cli: &Cli) -> Result<(), ExitCode> {
     if let Some(path) = &cli.trace_out {
         let trace = rec.export_trace().to_json();
@@ -165,23 +202,55 @@ fn write_telemetry(rec: &Recorder, manifest: &RunManifest, cli: &Cli) -> Result<
     Ok(())
 }
 
+/// Whether `--trace-out`/`--metrics-out` asked for a recording.
+fn wants_telemetry(cli: &Cli) -> bool {
+    cli.trace_out.is_some() || cli.metrics_out.is_some()
+}
+
+fn analytic_note(name: &str) {
+    eprintln!(
+        "note: '{name}' is analytic (no simulation loop); the trace will only carry metadata"
+    );
+}
+
+/// Run one entry once and print its table or JSON. Under telemetry flags
+/// the recorder is enabled, the trace and metrics files come from the
+/// same run, and the JSON carries its run manifest.
+fn run_experiment(e: &Entry, cli: &Cli) -> Result<(), ExitCode> {
+    let telemetry = wants_telemetry(cli);
+    if telemetry && !e.traceable {
+        analytic_note(e.name);
+    }
+    let mut rec = if telemetry { Recorder::new() } else { Recorder::disabled() };
+    let run = (e.run)(&mut rec);
+    let manifest =
+        telemetry.then(|| RunManifest::capture(e.name, run.seed, &run.config_json, &rec));
+    if let Some(manifest) = &manifest {
+        write_telemetry(&rec, manifest, cli)?;
+    }
+    match (cli.json, &manifest) {
+        (false, _) => outln!("{}", run.table),
+        (true, None) => outln!("{}", run.json),
+        (true, Some(manifest)) => outln!("{}", manifest_wrap(manifest, &run.json)),
+    }
+    Ok(())
+}
+
 /// `dsv3 audit <experiment>`: run instrumented, evaluate the watch
 /// detectors over everything recorded, and print (or export) the
 /// incident report alongside the usual experiment output.
-fn run_audit(e: &Entry, cli: &Cli) -> ExitCode {
+fn run_audit(e: &Entry, cli: &Cli) -> Result<(), ExitCode> {
     let mut rec = Recorder::new();
     let Some(w) = e.run_watched(&mut rec, &WatchConfig::default()) else {
         eprintln!("audit: '{}' is analytic (no simulation loop); nothing to watch", e.name);
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     };
     let manifest = RunManifest::capture(e.name, w.run.seed, &w.run.config_json, &rec);
-    if let Err(code) = write_telemetry(&rec, &manifest, cli) {
-        return code;
-    }
+    write_telemetry(&rec, &manifest, cli)?;
     if let Some(path) = &cli.incidents_out {
         if let Err(err) = std::fs::write(path, w.incidents.to_json()) {
             eprintln!("cannot write incidents to '{path}': {err}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
     if cli.json {
@@ -198,180 +267,101 @@ fn run_audit(e: &Entry, cli: &Cli) -> ExitCode {
             (String::from("report"), report),
             (String::from("incidents"), incidents),
         ]);
-        println!("{}", serde_json::to_string_pretty(&doc).unwrap_or_else(|_| String::from("null")));
+        outln!("{}", serde_json::to_string_pretty(&doc).unwrap_or_else(|_| String::from("null")));
     } else {
-        println!("{}", w.run.table);
-        println!("{}", w.incidents.render());
+        outln!("{}", w.run.table);
+        outln!("{}", w.incidents.render());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Run one entry with telemetry and honor `--trace-out`/`--metrics-out`.
-fn run_instrumented(e: &Entry, cli: &Cli) -> ExitCode {
-    let mut rec = Recorder::new();
-    let (table, json, seed, config_json) = match e.instrumented {
-        Some(run) => {
-            let r = run(&mut rec);
-            (r.table.to_string(), r.json, r.seed, r.config_json)
-        }
-        None => {
-            eprintln!(
-                "note: '{}' is analytic (no simulation loop); the trace will only carry metadata",
-                e.name
-            );
-            ((e.render)().to_string(), (e.json)(), 0, String::from("null"))
-        }
-    };
-    let manifest = RunManifest::capture(e.name, seed, &config_json, &rec);
-    if let Err(code) = write_telemetry(&rec, &manifest, cli) {
-        return code;
+/// `dsv3 lint`: unlike the experiments it has a pass/fail verdict, so a
+/// clean CI gate needs the exit code to carry it.
+fn run_lint(cli: &Cli) -> Result<(), ExitCode> {
+    use dsv3_core::experiments::lint;
+    let opts = lint::LintOptions { rules: cli.rules.clone(), baseline: cli.baseline.clone() };
+    let (report, readiness) = lint::run_with(&opts);
+    let rec = Recorder::new();
+    let manifest = RunManifest::capture("lint", 0, &lint::config_json(), &rec);
+    if wants_telemetry(cli) {
+        analytic_note("lint");
     }
-    if cli.json {
-        println!("{}", dsv3_core::telemetry::manifest_wrap(&manifest, &json));
+    write_telemetry(&rec, &manifest, cli)?;
+    if cli.readiness {
+        if cli.json {
+            outln!("{}", manifest_wrap(&manifest, &readiness.render_json()));
+        } else {
+            emit(format_args!("{}", readiness.render_text()))?;
+        }
+    } else if cli.json {
+        let body = serde_json::to_string_pretty(&report).unwrap_or_else(|_| String::from("null"));
+        outln!("{}", manifest_wrap(&manifest, &body));
     } else {
-        println!("{table}");
+        for f in &report.findings {
+            outln!("{}:{}: {}[{}]: {}", f.path, f.line, f.severity, f.rule, f.message);
+        }
+        outln!("{}", lint::render(&report));
     }
-    ExitCode::SUCCESS
+    if report.errors > 0 {
+        Err(ExitCode::FAILURE)
+    } else {
+        Ok(())
+    }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn dispatch(args: &[String]) -> Result<(), ExitCode> {
     let entries = registry();
-    let cli = match parse(&args) {
+    let cli = match parse(args) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}\n");
-            usage(&entries);
-            return ExitCode::FAILURE;
+            usage(&entries)?;
+            return Err(ExitCode::FAILURE);
         }
     };
-    let telemetry = cli.trace_out.is_some() || cli.metrics_out.is_some();
     if cli.incidents_out.is_some() && cli.positional.first().map(String::as_str) != Some("audit") {
         eprintln!("--incidents-out only applies to the audit subcommand");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
     match cli.positional.first().map(String::as_str) {
-        None | Some("list") | Some("help") => {
-            usage(&entries);
-            ExitCode::SUCCESS
-        }
+        None | Some("list") | Some("help") => usage(&entries),
         Some("check-trace") => match cli.positional.get(1) {
             Some(path) => check_trace(path),
             None => {
                 eprintln!("check-trace requires a path argument");
-                ExitCode::FAILURE
+                Err(ExitCode::FAILURE)
             }
         },
         Some("check-metrics") => match cli.positional.get(1) {
             Some(path) => check_metrics(path),
             None => {
                 eprintln!("check-metrics requires a path argument");
-                ExitCode::FAILURE
+                Err(ExitCode::FAILURE)
             }
         },
         Some("audit") => {
             let Some(name) = cli.positional.get(1) else {
                 eprintln!("audit requires an experiment name (try 'dsv3 audit overload')");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             };
-            match entries.iter().find(|e| e.name.replace('-', "_") == name.replace('-', "_")) {
-                Some(e) => run_audit(e, &cli),
-                None => {
-                    eprintln!("unknown experiment '{name}'\n");
-                    usage(&entries);
-                    ExitCode::FAILURE
-                }
-            }
+            run_audit(find(&entries, name)?, &cli)
         }
-        // `lint` is special: unlike the experiments it has a pass/fail
-        // verdict, so a clean CI gate needs the exit code to carry it.
-        Some("lint") => {
-            let opts = dsv3_core::experiments::lint::LintOptions {
-                rules: cli.rules.clone(),
-                baseline: cli.baseline.clone(),
-            };
-            let (report, readiness) = dsv3_core::experiments::lint::run_with(&opts);
-            let rec = Recorder::new();
-            let manifest =
-                RunManifest::capture("lint", 0, &dsv3_core::experiments::lint::config_json(), &rec);
-            if telemetry {
-                eprintln!(
-                    "note: 'lint' is analytic (no simulation loop); the trace will only carry \
-                     metadata"
-                );
-            }
-            if let Some(path) = &cli.trace_out {
-                if let Err(err) = std::fs::write(path, rec.export_trace().to_json()) {
-                    eprintln!("cannot write trace to '{path}': {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(path) = &cli.metrics_out {
-                let doc = MetricsDocument { manifest: manifest.clone(), metrics: rec.snapshot() };
-                let body = serde_json::to_string_pretty(&doc).expect("metrics document serializes");
-                if let Err(err) = std::fs::write(path, body) {
-                    eprintln!("cannot write metrics to '{path}': {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if cli.readiness {
-                if cli.json {
-                    println!(
-                        "{}",
-                        dsv3_core::telemetry::manifest_wrap(&manifest, &readiness.render_json())
-                    );
-                } else {
-                    print!("{}", readiness.render_text());
-                }
-            } else if cli.json {
-                let body =
-                    serde_json::to_string_pretty(&report).unwrap_or_else(|_| String::from("null"));
-                println!("{}", dsv3_core::telemetry::manifest_wrap(&manifest, &body));
-            } else {
-                for f in &report.findings {
-                    println!("{}:{}: {}[{}]: {}", f.path, f.line, f.severity, f.rule, f.message);
-                }
-                println!("{}", dsv3_core::experiments::lint::render_report(&report));
-            }
-            if report.errors > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        Some("lint") => run_lint(&cli),
         Some("all") => {
-            if telemetry {
+            if wants_telemetry(&cli) {
                 eprintln!("--trace-out/--metrics-out need a single experiment, not 'all'");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
-            for e in &entries {
-                if cli.json {
-                    println!("{}", (e.json)());
-                } else {
-                    println!("{}", (e.render)());
-                }
-            }
-            ExitCode::SUCCESS
+            entries.iter().try_for_each(|e| run_experiment(e, &cli))
         }
-        // Accept `fault_drill` for `fault-drill` etc.: experiment names
-        // use hyphens, but underscores are a natural thing to type.
-        Some(name) => {
-            match entries.iter().find(|e| e.name.replace('-', "_") == name.replace('-', "_")) {
-                Some(e) if telemetry => run_instrumented(e, &cli),
-                Some(e) => {
-                    if cli.json {
-                        println!("{}", (e.json)());
-                    } else {
-                        println!("{}", (e.render)());
-                    }
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!("unknown experiment '{name}'\n");
-                    usage(&entries);
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Some(name) => run_experiment(find(&entries, name)?, &cli),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }

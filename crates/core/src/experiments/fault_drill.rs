@@ -108,12 +108,6 @@ fn plan_config(seed: u64) -> FaultPlanConfig {
     }
 }
 
-/// Run the drill at the default seed.
-#[must_use]
-pub fn run() -> FaultDrillReport {
-    run_seeded(20_250_805)
-}
-
 /// The drill's default seed.
 #[must_use]
 pub fn seed() -> u64 {
@@ -128,24 +122,13 @@ pub fn config_json() -> String {
     format!("[{cfg},{plan}]")
 }
 
-/// [`run`] with telemetry: the healthy, faulty, and hedged serving arms
-/// trace into `rec` under matching scopes (the empty-plan identity arm
-/// stays untraced — its whole point is byte-identity with [`run`]'s
-/// path). Returns the same report as [`run`], enforced by test.
+/// Run the drill at `seed` (equal seeds → identical reports). The
+/// healthy, faulty, and hedged serving arms trace into `rec` under
+/// matching scopes; the empty-plan identity arm stays untraced — its
+/// whole point is byte-identity with the plain engine path. Recording
+/// never changes the report, enforced by test.
 #[must_use]
-pub fn run_instrumented(rec: &mut Recorder) -> FaultDrillReport {
-    run_seeded_traced(seed(), rec)
-}
-
-/// Run the drill at an explicit seed (equal seeds → identical reports).
-#[must_use]
-pub fn run_seeded(seed: u64) -> FaultDrillReport {
-    run_seeded_traced(seed, &mut Recorder::disabled())
-}
-
-/// [`run_seeded`] with telemetry into `rec`.
-#[must_use]
-pub fn run_seeded_traced(seed: u64, rec: &mut Recorder) -> FaultDrillReport {
+pub fn run(seed: u64, rec: &mut Recorder) -> FaultDrillReport {
     let cfg = scenario();
     let ov = OverloadConfig::disabled();
     let mut traced = |plan: &FaultPlan, policy: &RecoveryPolicy, scope: &str| {
@@ -231,14 +214,7 @@ fn availability_point(seed: u64, mtbf_h: f64) -> AvailabilityRow {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
-    render_report(&run())
-}
-
-/// Render an already-computed drill report (the instrumented CLI path
-/// reuses the run instead of drilling twice).
-#[must_use]
-pub fn render_report(r: &FaultDrillReport) -> Table {
+pub fn render(r: &FaultDrillReport) -> Table {
     let mut t = Table::new(
         "§5.1.1/§6.1: seeded fault drill — crashes, flaps, stragglers, SDC during a run",
         &["study", "setting", "outcome"],
@@ -324,13 +300,13 @@ mod tests {
 
     #[test]
     fn empty_plan_reproduces_healthy_report() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         assert!(r.empty_plan_identical, "empty FaultPlan must be a byte-for-byte no-op");
     }
 
     #[test]
     fn drill_exercises_every_fault_class() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         assert!(r.plan_events > 0);
         assert!(r.faulty.faults.crash_events > 0, "{:?}", r.faulty.faults);
         assert!(r.faulty.faults.plane_flap_events > 0, "{:?}", r.faulty.faults);
@@ -341,7 +317,7 @@ mod tests {
 
     #[test]
     fn faults_degrade_but_do_not_disconnect() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         let total = r.faulty.serving.completed
             + r.faulty.serving.dropped
             + r.faulty.faults.rejected
@@ -360,7 +336,7 @@ mod tests {
 
     #[test]
     fn simulated_goodput_matches_young_daly_within_5_percent() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         assert_eq!(r.availability.len(), 3);
         for a in &r.availability {
             assert!(
@@ -376,20 +352,20 @@ mod tests {
 
     #[test]
     fn drill_is_deterministic_per_seed() {
-        let a = run_seeded(7);
-        let b = run_seeded(7);
+        let a = run(7, &mut Recorder::disabled());
+        let b = run(7, &mut Recorder::disabled());
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
             "byte-reproducible per seed"
         );
-        let c = run_seeded(8);
+        let c = run(8, &mut Recorder::disabled());
         assert_ne!(a.faulty, c.faulty, "different seeds produce different drills");
     }
 
     #[test]
     fn render_covers_all_studies() {
-        let t = render();
+        let t = render(&run(seed(), &mut Recorder::disabled()));
         assert!(t.rows.len() >= 8, "rows: {}", t.rows.len());
         assert!(t.rows.iter().any(|r| r[0] == "empty-plan identity"));
         assert!(t.rows.iter().any(|r| r[0] == "training goodput"));
@@ -398,10 +374,10 @@ mod tests {
     #[test]
     fn instrumented_drill_reproduces_plain_report_with_fault_instants() {
         let mut rec = Recorder::new();
-        let instrumented = run_instrumented(&mut rec);
+        let instrumented = run(seed(), &mut rec);
         assert_eq!(
             serde_json::to_string(&instrumented).unwrap(),
-            serde_json::to_string(&run()).unwrap(),
+            serde_json::to_string(&run(seed(), &mut Recorder::disabled())).unwrap(),
             "telemetry must not perturb the drill"
         );
         let events = rec.events();

@@ -45,12 +45,12 @@ pub fn run() -> Vec<Point> {
 
 /// Render the series.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Figure 5: all-to-all bus bandwidth, MPFT vs MRFT (GB/s)",
         &["GPUs", "msg/peer", "MPFT", "MRFT"],
     );
-    for p in run() {
+    for p in points {
         t.row(&[
             p.gpus.to_string(),
             format!("{}", p.bytes_per_peer as u64),

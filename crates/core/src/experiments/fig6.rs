@@ -33,12 +33,12 @@ pub fn run() -> Vec<Point> {
 
 /// Render the series.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Figure 6: 16-GPU all-to-all latency, MPFT vs MRFT (µs)",
         &["msg/peer", "MPFT", "MRFT"],
     );
-    for p in run() {
+    for p in points {
         t.row(&[format!("{}", p.bytes_per_peer as u64), fmt(p.mpft_us, 2), fmt(p.mrft_us, 2)]);
     }
     t

@@ -20,12 +20,12 @@ pub fn run(tokens_per_gpu: usize) -> Vec<DeepEpPoint> {
 
 /// Render the series.
 #[must_use]
-pub fn render(tokens_per_gpu: usize) -> Table {
+pub fn render(points: &[DeepEpPoint]) -> Table {
     let mut t = Table::new(
         "Figure 7: DeepEP per-GPU RDMA bandwidth on MPFT (GB/s)",
         &["GPUs", "dispatch (FP8)", "combine (BF16)"],
     );
-    for p in run(tokens_per_gpu) {
+    for p in points {
         t.row(&[p.gpus.to_string(), fmt(p.dispatch_gbps, 1), fmt(p.combine_gbps, 1)]);
     }
     t

@@ -56,12 +56,11 @@ pub fn run() -> Vec<Point> {
 
 /// Render the series.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(pts: &[Point]) -> Table {
     let mut t = Table::new(
         "Figure 8: RoCE collective bandwidth vs routing (GB/s)",
         &["Collective", "TP", "ECMP", "AR", "Static"],
     );
-    let pts = run();
     for coll in ["AllGather", "ReduceScatter"] {
         for tp in [4usize, 8, 16] {
             let get = |policy: &str| {

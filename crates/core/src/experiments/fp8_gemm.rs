@@ -4,7 +4,7 @@
 //! emulated Hopper pipeline under three main-accumulator strategies, plus
 //! the per-tensor (coarse) quantization baseline.
 
-use crate::report::{fmt, Table};
+use crate::report::Table;
 use dsv3_numerics::gemm::{gemm_fp8, gemm_fp8_per_tensor, Fp8GemmConfig, MainAccumulator};
 use dsv3_numerics::metrics::relative_frobenius_error;
 use dsv3_numerics::minifloat::Format;
@@ -94,7 +94,7 @@ pub fn default_ks() -> Vec<usize> {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§3.1: FP8 GEMM relative error vs accumulation strategy",
         &[
@@ -108,7 +108,7 @@ pub fn render() -> Table {
             "outliers: per-tensor",
         ],
     );
-    for r in run(&default_ks()) {
+    for r in rows {
         t.row(&[
             r.k.to_string(),
             format!("{:.2e}", r.err_fp22),
@@ -120,7 +120,6 @@ pub fn render() -> Table {
             format!("{:.2e}", r.outlier_err_per_tensor),
         ]);
     }
-    let _ = fmt(0.0, 0);
     t
 }
 

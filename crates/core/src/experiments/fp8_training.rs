@@ -43,12 +43,12 @@ pub fn run(cfg: TrainConfig) -> Vec<Row> {
 
 /// Render with the default config.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§2.4: training-accuracy comparison across precision backends",
         &["Backend", "final loss", "gap vs BF16", "grad err (outliers)"],
     );
-    for r in run(TrainConfig::default()) {
+    for r in rows {
         t.row(&[
             r.precision.clone(),
             fmt(r.final_loss, 4),

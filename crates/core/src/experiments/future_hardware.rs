@@ -72,12 +72,12 @@ pub fn run() -> Vec<Row> {
 
 /// Render the summary.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§6: quantified payoffs of the paper's hardware recommendations",
         &["Section", "Recommendation", "Metric", "Gain"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[
             r.section.clone(),
             r.recommendation.clone(),

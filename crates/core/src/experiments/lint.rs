@@ -175,7 +175,7 @@ pub fn run_with(opts: &LintOptions) -> (LintReport, dsv3_lint::ReadinessReport) 
 /// Render a report: the per-rule policy table with finding counts, plus
 /// scan totals.
 #[must_use]
-pub fn render_report(report: &LintReport) -> Table {
+pub fn render(report: &LintReport) -> Table {
     let mut t = Table::new(
         "Invariant lint — determinism, panic-freedom, and vendor policy",
         &["rule", "invariant", "severity", "findings"],
@@ -199,12 +199,6 @@ pub fn render_report(report: &LintReport) -> Table {
         format!("{} waived", report.waivers_honored),
     ]);
     t
-}
-
-/// Render a fresh scan.
-#[must_use]
-pub fn render() -> Table {
-    render_report(&run())
 }
 
 /// The lint policy as JSON, hashed into the run manifest so a policy

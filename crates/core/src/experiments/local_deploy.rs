@@ -39,12 +39,12 @@ pub fn run() -> Vec<Row> {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§2.2.2: single-request decode TPS on local hardware (Q4 weights)",
         &["Hardware", "Model", "activated (B)", "TPS"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[r.hardware.clone(), r.model.clone(), fmt(r.activated_b, 1), fmt(r.tps, 1)]);
     }
     t

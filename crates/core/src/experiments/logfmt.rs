@@ -74,12 +74,12 @@ pub fn run() -> Vec<Row> {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§3.2: communication-format quality on log-normal activations",
         &["Format", "bits", "SQNR (dB)", "rel RMSE", "|rel bias|"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[
             r.format.clone(),
             r.bits.to_string(),

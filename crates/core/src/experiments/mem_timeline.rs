@@ -144,21 +144,11 @@ fn v3_mha() -> ModelConfig {
     mha
 }
 
-/// Run the experiment.
-#[must_use]
-pub fn run() -> MemTimelineReport {
-    run_traced(&mut Recorder::disabled())
-}
-
-/// [`run`] with telemetry: the production DualPipe walk traces into
-/// `rec` — per-rank processes, chunk spans on forward/backward/weight-grad
+/// Run the experiment. The production DualPipe walk traces into `rec` —
+/// per-rank processes, chunk spans on forward/backward/weight-grad
 /// threads, and `act_gb`/`ws_gb`/`total_gb` counter tracks.
 #[must_use]
-pub fn run_instrumented(rec: &mut Recorder) -> MemTimelineReport {
-    run_traced(rec)
-}
-
-fn run_traced(rec: &mut Recorder) -> MemTimelineReport {
+pub fn run(rec: &mut Recorder) -> MemTimelineReport {
     let p = MemTimelineParams::default();
     let cfg = zoo::deepseek_v3();
 
@@ -219,14 +209,7 @@ fn run_traced(rec: &mut Recorder) -> MemTimelineReport {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
-    render_report(&run())
-}
-
-/// Render an already-computed report (the instrumented CLI path reuses
-/// the run instead of walking twice).
-#[must_use]
-pub fn render_report(r: &MemTimelineReport) -> Table {
+pub fn render(r: &MemTimelineReport) -> Table {
     let mut t = Table::new(
         "§2.1: training memory timeline — schedule-resolved peaks, MLA vs MHA, fit frontier",
         &["arm", "detail", "outcome"],
@@ -288,13 +271,13 @@ mod tests {
 
     #[test]
     fn validation_is_inside_the_acceptance_tolerance() {
-        let r = run();
+        let r = run(&mut Recorder::disabled());
         assert!(r.analytic_max_rel_err < 0.05, "{}", r.analytic_max_rel_err);
     }
 
     #[test]
     fn production_fits_naive_does_not() {
-        let r = run();
+        let r = run(&mut Recorder::disabled());
         let get =
             |needle: &str| r.plans.iter().find(|p| p.label.contains(needle)).expect("arm present");
         assert!(get("production").fits, "production peak {}", get("production").peak_gb);
@@ -304,7 +287,7 @@ mod tests {
 
     #[test]
     fn min_memory_pays_time_for_bytes() {
-        let r = run();
+        let r = run(&mut Recorder::disabled());
         let prod = r.plans.iter().find(|p| p.label.contains("production")).expect("arm");
         let min = r.plans.iter().find(|p| p.label.contains("min-memory")).expect("arm");
         assert!(min.peak_gb < prod.peak_gb);
@@ -315,14 +298,14 @@ mod tests {
 
     #[test]
     fn frontier_includes_the_production_point() {
-        let r = run();
+        let r = run(&mut Recorder::disabled());
         let prod = r.frontier.iter().find(|f| f.gpus == 2048).expect("2048-GPU row");
         assert!(prod.max_layers >= 61, "{}", prod.max_layers);
     }
 
     #[test]
     fn selective_recompute_cuts_both_attention_variants() {
-        let r = run();
+        let r = run(&mut Recorder::disabled());
         let peak = |attn: &str, rc: &str| {
             r.attention
                 .iter()
@@ -336,18 +319,18 @@ mod tests {
 
     #[test]
     fn render_covers_every_arm() {
-        let r = run();
-        let t = render_report(&r);
+        let r = run(&mut Recorder::disabled());
+        let t = render(&r);
         assert_eq!(t.rows.len(), 1 + r.plans.len() + r.attention.len() + r.frontier.len());
     }
 
     #[test]
     fn instrumented_run_reproduces_plain_report_with_memory_trace() {
         let mut rec = Recorder::new();
-        let instrumented = run_instrumented(&mut rec);
+        let instrumented = run(&mut rec);
         assert_eq!(
             serde_json::to_string(&instrumented).unwrap(),
-            serde_json::to_string(&run()).unwrap(),
+            serde_json::to_string(&run(&mut Recorder::disabled())).unwrap(),
             "telemetry must not perturb the walk"
         );
         assert!(instrumented.chunk_events > 0);

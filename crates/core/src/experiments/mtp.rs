@@ -33,12 +33,12 @@ pub fn run() -> Vec<Row> {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§2.3.3: MTP speculative decoding speedup (1 module)",
         &["acceptance", "tokens/step", "simulated", "TPS speedup"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[
             fmt(r.acceptance, 2),
             fmt(r.tokens_per_step, 3),

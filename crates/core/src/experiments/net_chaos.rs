@@ -300,29 +300,11 @@ pub fn config_json() -> String {
     crate::report::json_or_null(&NetChaosParams::default())
 }
 
-/// Run the sweep at the default seed.
+/// Run the sweep at `seed` (equal seeds → identical reports). Every arm
+/// traces into `rec` under `{fabric}.{policy}.f{percent}` scopes
+/// (fail/heal instants, per-flow spans, reroute/retransmit counters).
 #[must_use]
-pub fn run() -> NetChaosReport {
-    run_seeded(seed())
-}
-
-/// [`run`] with telemetry: every arm traces into `rec` under
-/// `{fabric}.{policy}.f{percent}` scopes (fail/heal instants, per-flow
-/// spans, reroute/retransmit counters).
-#[must_use]
-pub fn run_instrumented(rec: &mut Recorder) -> NetChaosReport {
-    run_seeded_traced(seed(), rec)
-}
-
-/// Run at an explicit seed (equal seeds → identical reports).
-#[must_use]
-pub fn run_seeded(seed: u64) -> NetChaosReport {
-    run_seeded_traced(seed, &mut Recorder::disabled())
-}
-
-/// [`run_seeded`] with telemetry into `rec`.
-#[must_use]
-pub fn run_seeded_traced(seed: u64, rec: &mut Recorder) -> NetChaosReport {
+pub fn run(seed: u64, rec: &mut Recorder) -> NetChaosReport {
     let p = NetChaosParams::default();
     let policies =
         [ReroutePolicy::Stall, ReroutePolicy::StaticRehash { seed }, ReroutePolicy::Adaptive];
@@ -419,14 +401,7 @@ fn row(
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
-    render_report(&run())
-}
-
-/// Render an already-computed report (the instrumented CLI path reuses
-/// the run instead of sweeping twice).
-#[must_use]
-pub fn render_report(r: &NetChaosReport) -> Table {
+pub fn render(r: &NetChaosReport) -> Table {
     let mut t = Table::new(
         "§5.1.1: link chaos — reroute policies vs failed trunk fraction per fabric",
         &["fabric", "policy", "failed", "outcome"],
@@ -469,7 +444,7 @@ mod tests {
 
     #[test]
     fn healthy_runs_are_bit_identical_to_flowsim() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         assert_eq!(r.fabrics.len(), 4);
         for f in &r.fabrics {
             assert!(f.healthy_matches_flowsim, "{}: chaos(∅) must equal FlowSim", f.fabric);
@@ -478,7 +453,7 @@ mod tests {
 
     #[test]
     fn adaptive_on_multiplane_bounds_degradation_to_failed_fraction() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         for row in r.rows.iter().filter(|w| w.fabric == "mpft2" && w.policy == "adaptive") {
             let bound = 1.0 / (1.0 - row.fail_fraction);
             assert!(
@@ -495,7 +470,7 @@ mod tests {
 
     #[test]
     fn static_rehash_strands_flows_where_adaptive_does_not() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         let strand_total: usize =
             r.rows.iter().filter(|w| w.policy == "static-rehash").map(|w| w.stranded).sum();
         assert!(strand_total > 0, "oblivious rehash must strand somewhere in the sweep");
@@ -521,7 +496,7 @@ mod tests {
 
     #[test]
     fn stall_pays_the_repair_time() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         let p = NetChaosParams::default();
         for row in r.rows.iter().filter(|w| w.fabric == "mpft2" && w.policy == "stall") {
             assert!(
@@ -535,7 +510,7 @@ mod tests {
 
     #[test]
     fn every_arm_conserves_bytes() {
-        let r = run();
+        let r = run(seed(), &mut Recorder::disabled());
         assert!(!r.rows.is_empty());
         for row in &r.rows {
             assert!(row.bytes_balanced, "{} {} f={}", row.fabric, row.policy, row.fail_fraction);
@@ -545,8 +520,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_per_seed() {
-        let a = run_seeded(7);
-        let b = run_seeded(7);
+        let a = run(7, &mut Recorder::disabled());
+        let b = run(7, &mut Recorder::disabled());
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -556,8 +531,8 @@ mod tests {
 
     #[test]
     fn render_covers_every_fabric_and_arm() {
-        let r = run();
-        let t = render_report(&r);
+        let r = run(seed(), &mut Recorder::disabled());
+        let t = render(&r);
         assert_eq!(t.rows.len(), r.fabrics.len() + r.rows.len());
         for name in ["mpft2", "ft3", "slimfly", "dragonfly"] {
             assert!(t.rows.iter().any(|row| row[0] == name));
@@ -567,10 +542,10 @@ mod tests {
     #[test]
     fn instrumented_sweep_reproduces_plain_report_with_chaos_trace() {
         let mut rec = Recorder::new();
-        let instrumented = run_instrumented(&mut rec);
+        let instrumented = run(seed(), &mut rec);
         assert_eq!(
             serde_json::to_string(&instrumented).unwrap(),
-            serde_json::to_string(&run()).unwrap(),
+            serde_json::to_string(&run(seed(), &mut Recorder::disabled())).unwrap(),
             "telemetry must not perturb the sweep"
         );
         let events = rec.events();

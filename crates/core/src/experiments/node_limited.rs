@@ -51,12 +51,12 @@ pub fn run(tokens: usize) -> Vec<Row> {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§4.3: node-limited routing — deduplicated IB traffic",
         &["node limit M", "mean nodes touched", "IB time vs no-dedup", "load imbalance"],
     );
-    for r in run(2000) {
+    for r in rows {
         t.row(&[
             r.max_nodes.to_string(),
             fmt(r.mean_nodes_touched, 2),

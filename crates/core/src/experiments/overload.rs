@@ -270,12 +270,6 @@ fn window_mean_rps(timeline: &[GoodputWindow], from_ms: f64, to_ms: f64) -> f64 
     slice.iter().map(|w| w.goodput_rps).sum::<f64>() / slice.len() as f64
 }
 
-/// Run the experiment at the default seed.
-#[must_use]
-pub fn run() -> OverloadReport {
-    run_seeded(seed())
-}
-
 /// The experiment's default seed.
 #[must_use]
 pub fn seed() -> u64 {
@@ -291,22 +285,17 @@ pub fn config_json() -> String {
     format!("[{cfg},{full}]")
 }
 
-/// [`run`] with telemetry: the 1× baseline and the two bookend spike
-/// arms (`none`, `ladder+autoscale`) trace into `rec`; the sweep grid
-/// stays untraced to keep traces reviewable. Returns the same report as
-/// [`run`], enforced by test.
-#[must_use]
-pub fn run_instrumented(rec: &mut Recorder) -> OverloadReport {
-    run_seeded_traced(seed(), rec)
-}
-
 /// Run at an explicit seed (equal seeds → identical reports).
 #[must_use]
 pub fn run_seeded(seed: u64) -> OverloadReport {
     run_seeded_traced(seed, &mut Recorder::disabled())
 }
 
-/// [`run_seeded`] with telemetry into `rec`.
+/// [`run_seeded`] with telemetry into `rec`: the 1× baseline and the two
+/// bookend spike arms (`none`, `ladder+autoscale`) trace, plus the
+/// telemetry-only `spike-storm` watchdog control arms; the sweep grid
+/// stays untraced to keep traces reviewable. Recording never changes
+/// the report, enforced by test.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run_seeded_traced(seed: u64, rec: &mut Recorder) -> OverloadReport {
@@ -471,13 +460,7 @@ pub fn run_seeded_traced(seed: u64, rec: &mut Recorder) -> OverloadReport {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
-    render_report(&run())
-}
-
-/// Render an already-computed report.
-#[must_use]
-pub fn render_report(r: &OverloadReport) -> Table {
+pub fn render(r: &OverloadReport) -> Table {
     let mut t = Table::new(
         "overload robustness: admission, degradation ladder, autoscaling vs retry storms",
         &["arm", "setting", "outcome"],
@@ -569,7 +552,7 @@ mod tests {
 
     #[test]
     fn acceptance_cliff_and_metastability_reproduced() {
-        let r = run();
+        let r = run_seeded(seed());
         assert!(r.cliff, "policy=none must cliff past 1x: {:#?}", r.sweep);
         assert!(
             r.metastable_reproduced,
@@ -580,7 +563,7 @@ mod tests {
 
     #[test]
     fn acceptance_full_stack_is_robust_and_recovers() {
-        let r = run();
+        let r = run_seeded(seed());
         assert!(
             r.robust,
             "ladder+autoscale must hold 90% of target at every load: {:#?}",
@@ -591,7 +574,7 @@ mod tests {
 
     #[test]
     fn ladder_engages_under_overload_and_breaker_ejects() {
-        let r = run();
+        let r = run_seeded(seed());
         assert!(
             r.sweep
                 .iter()
@@ -608,7 +591,7 @@ mod tests {
 
     #[test]
     fn autoscale_buys_capacity_at_deep_overload() {
-        let r = run();
+        let r = run_seeded(seed());
         let deep = |policy: &str| {
             r.sweep
                 .iter()
@@ -642,10 +625,10 @@ mod tests {
     #[test]
     fn instrumented_run_reproduces_plain_report() {
         let mut rec = Recorder::new();
-        let instrumented = run_instrumented(&mut rec);
+        let instrumented = run_seeded_traced(seed(), &mut rec);
         assert_eq!(
             serde_json::to_string(&instrumented).unwrap(),
-            serde_json::to_string(&run()).unwrap(),
+            serde_json::to_string(&run_seeded(seed())).unwrap(),
             "telemetry must not perturb the experiment"
         );
         let events = rec.events();
@@ -665,7 +648,7 @@ mod tests {
 
     #[test]
     fn render_covers_every_arm() {
-        let t = render();
+        let t = render(&run_seeded(seed()));
         // anchor + 24 sweep points + 4 spike arms + breaker + verdict.
         assert_eq!(t.rows.len(), 1 + POLICIES.len() * LOAD_MULTS.len() + POLICIES.len() + 2);
         assert!(t.rows.iter().any(|row| row[0] == "verdict"));

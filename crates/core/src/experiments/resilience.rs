@@ -280,24 +280,22 @@ fn empty_report(tiers: usize) -> ResilienceReport {
     }
 }
 
-/// Run the sweep. The sweep is seeded and deterministic, so the result
-/// is computed once per process and cloned thereafter (the registry
-/// smoke tests and the CLI's render + JSON paths share it).
+/// Run the sweep. With `rec` enabled, the tiered + spare-pool arm of the
+/// mid fleet traces goodput/backlog/fleet-health series, per-failure
+/// instants and per-class failure counters into it under the
+/// `resilience` scope. The sweep is seeded and deterministic, so an
+/// unrecorded run is computed once per process and cloned thereafter
+/// (every registry render shares it).
 #[must_use]
-pub fn run() -> ResilienceSweepReport {
+pub fn run(rec: &mut Recorder) -> ResilienceSweepReport {
     static CACHE: OnceLock<ResilienceSweepReport> = OnceLock::new();
-    CACHE.get_or_init(|| run_traced(&mut Recorder::disabled())).clone()
+    if rec.is_enabled() {
+        return sweep(rec);
+    }
+    CACHE.get_or_init(|| sweep(&mut Recorder::disabled())).clone()
 }
 
-/// [`run`] with telemetry: the tiered + spare-pool arm of the mid fleet
-/// traces goodput/backlog/fleet-health series, per-failure instants and
-/// per-class failure counters into `rec` under the `resilience` scope.
-#[must_use]
-pub fn run_instrumented(rec: &mut Recorder) -> ResilienceSweepReport {
-    run_traced(rec)
-}
-
-fn run_traced(rec: &mut Recorder) -> ResilienceSweepReport {
+fn sweep(rec: &mut Recorder) -> ResilienceSweepReport {
     let p = ResilienceSweepParams::default();
     let ckpt = production_bytes();
     let horizon_s = p.horizon_days * 86_400.0;
@@ -380,14 +378,7 @@ fn run_traced(rec: &mut Recorder) -> ResilienceSweepReport {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
-    render_report(&run())
-}
-
-/// Render an already-computed report (the instrumented CLI path reuses
-/// the run instead of sweeping twice).
-#[must_use]
-pub fn render_report(r: &ResilienceSweepReport) -> Table {
+pub fn render(r: &ResilienceSweepReport) -> Table {
     let mut t = Table::new(
         "§6.1: fleet-scale resilience — tiered checkpoints, spares, elastic shrink, SDC rollback",
         &["arm", "setting", "outcome"],
@@ -455,7 +446,7 @@ mod tests {
 
     /// [`run`] memoizes the deterministic sweep; tests share it.
     fn report() -> ResilienceSweepReport {
-        run()
+        run(&mut Recorder::disabled())
     }
 
     #[test]
@@ -528,7 +519,7 @@ mod tests {
     fn instrumented_run_equals_plain_and_feeds_watch_series() {
         let plain = report();
         let mut rec = Recorder::new();
-        let traced = run_instrumented(&mut rec);
+        let traced = run(&mut rec);
         assert_eq!(plain, traced, "tracing must not perturb the sweep");
         assert!(rec.series_get("resilience.goodput").is_some());
         assert!(

@@ -82,12 +82,12 @@ pub fn sdc_detection(trials: usize) -> Vec<SdcRow> {
 
 /// Render both studies.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(plane_failures: &[PlaneFailureRow]) -> Table {
     let mut t = Table::new(
         "§5.1.1/§6.1: robustness — plane-failure retention & SDC detection",
         &["Study", "setting", "outcome"],
     );
-    for r in plane_failures() {
+    for r in plane_failures {
         t.row(&[
             "plane failure".into(),
             format!("{}/8 planes down", r.failed),

@@ -11,8 +11,8 @@
 use crate::report::{fmt, Table};
 use dsv3_faults::{FaultPlan, FaultPlanConfig, RecoveryPolicy};
 use dsv3_serving::{
-    run as simulate, run_overload_traced, ArrivalProcess, OverloadConfig, RouterPolicy,
-    ServingReport, ServingSimConfig,
+    run_overload_traced, ArrivalProcess, OverloadConfig, RouterPolicy, ServingReport,
+    ServingSimConfig,
 };
 use dsv3_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
@@ -44,17 +44,6 @@ fn scenario(router: RouterPolicy) -> ServingSimConfig {
     cfg
 }
 
-/// Run both policies on the identical workload (same seed).
-#[must_use]
-pub fn run() -> ServingComparison {
-    ServingComparison {
-        arrival_rps: 8.0,
-        burstiness: 32.0,
-        unified: simulate(&scenario(RouterPolicy::Unified)),
-        disaggregated: simulate(&scenario(RouterPolicy::Disaggregated { prefill_fraction: 0.7 })),
-    }
-}
-
 /// The seed driving this experiment's workload.
 #[must_use]
 pub fn seed() -> u64 {
@@ -71,14 +60,14 @@ pub fn config_json() -> String {
     format!("[{unified},{disagg}]")
 }
 
-/// [`run`] with telemetry: both arms trace into `rec` under the
-/// `unified`/`disaggregated` scopes, plus a telemetry-only
-/// `fault-overlay` arm — the same unified bursty scenario under a
-/// seeded fault climate — whose report is discarded but whose inject and
-/// heal instants land in the trace. The returned comparison is identical
-/// to [`run`]'s (the overlay never touches it), enforced by test.
+/// Run both policies on the identical workload (same seed). With `rec`
+/// enabled both arms trace into it under the `unified`/`disaggregated`
+/// scopes, plus a telemetry-only `fault-overlay` arm — the same unified
+/// bursty scenario under a seeded fault climate — whose report is
+/// discarded but whose inject and heal instants land in the trace. The
+/// overlay never touches the returned comparison, enforced by test.
 #[must_use]
-pub fn run_instrumented(rec: &mut Recorder) -> ServingComparison {
+pub fn run(rec: &mut Recorder) -> ServingComparison {
     let (policy, ov) = (RecoveryPolicy::default(), OverloadConfig::disabled());
     let traced = |cfg: &ServingSimConfig, plan: &FaultPlan, rec: &mut Recorder, scope: &str| {
         run_overload_traced(cfg, plan, &policy, &ov, rec, scope).serving
@@ -91,31 +80,26 @@ pub fn run_instrumented(rec: &mut Recorder) -> ServingComparison {
         rec,
         "disaggregated",
     );
-    let overlay_plan = FaultPlan::generate(&FaultPlanConfig {
-        seed: seed(),
-        horizon_ms: 60_000.0,
-        replicas: 4,
-        planes: 8,
-        crash_mtbf_ms: 15_000.0,
-        crash_repair_ms: 4_000.0,
-        flap_mtbf_ms: 20_000.0,
-        flap_repair_ms: 5_000.0,
-        ..FaultPlanConfig::default()
-    });
-    let _ = traced(&scenario(RouterPolicy::Unified), &overlay_plan, rec, "fault-overlay");
+    if rec.is_enabled() {
+        let overlay_plan = FaultPlan::generate(&FaultPlanConfig {
+            seed: seed(),
+            horizon_ms: 60_000.0,
+            replicas: 4,
+            planes: 8,
+            crash_mtbf_ms: 15_000.0,
+            crash_repair_ms: 4_000.0,
+            flap_mtbf_ms: 20_000.0,
+            flap_repair_ms: 5_000.0,
+            ..FaultPlanConfig::default()
+        });
+        let _ = traced(&scenario(RouterPolicy::Unified), &overlay_plan, rec, "fault-overlay");
+    }
     ServingComparison { arrival_rps: 8.0, burstiness: 32.0, unified, disaggregated }
 }
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
-    render_report(&run())
-}
-
-/// Render an already-computed comparison (the instrumented CLI path
-/// reuses the run instead of simulating twice).
-#[must_use]
-pub fn render_report(c: &ServingComparison) -> Table {
+pub fn render(c: &ServingComparison) -> Table {
     let mut t = Table::new(
         "§2.3: serving simulation, bursty prefill-heavy load (8 req/s, CV²=32, 1K prompts)",
         &[
@@ -150,7 +134,7 @@ mod tests {
 
     #[test]
     fn disaggregation_beats_unified_on_decode_tail_under_bursty_prefill() {
-        let c = run();
+        let c = run(&mut Recorder::disabled());
         assert!(
             c.disaggregated.tpot_ms.p99 < 0.6 * c.unified.tpot_ms.p99,
             "disaggregated decode p99 {} must clearly beat unified {}",
@@ -168,12 +152,12 @@ mod tests {
 
     #[test]
     fn reports_are_deterministic() {
-        assert_eq!(run(), run());
+        assert_eq!(run(&mut Recorder::disabled()), run(&mut Recorder::disabled()));
     }
 
     #[test]
     fn render_has_both_policies() {
-        let t = render();
+        let t = render(&run(&mut Recorder::disabled()));
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0][0], "unified");
         assert_eq!(t.rows[1][0], "disaggregated");
@@ -182,8 +166,12 @@ mod tests {
     #[test]
     fn instrumented_run_reproduces_plain_report() {
         let mut rec = Recorder::new();
-        let instrumented = run_instrumented(&mut rec);
-        assert_eq!(instrumented, run(), "telemetry and the overlay arm must not perturb");
+        let instrumented = run(&mut rec);
+        assert_eq!(
+            instrumented,
+            run(&mut Recorder::disabled()),
+            "telemetry and the overlay arm must not perturb"
+        );
         let events = rec.events();
         assert!(events.iter().any(|e| e.ph == "X" && e.name == "decode"));
         assert!(
@@ -198,7 +186,7 @@ mod tests {
     fn instrumented_traces_are_deterministic() {
         let trace = |()| {
             let mut rec = Recorder::new();
-            let _ = run_instrumented(&mut rec);
+            let _ = run(&mut rec);
             rec.export_trace().to_json()
         };
         assert_eq!(trace(()), trace(()));

@@ -52,12 +52,12 @@ pub fn run_combine_formats() -> Vec<Row> {
 
 /// Render the combine-format sweep.
 #[must_use]
-pub fn render_combine_formats() -> Table {
+pub fn render_combine_formats(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§6.5: decode speed limit vs combine-stage compression (H800+IB)",
         &["Combine format", "EP comm (µs)", "TPOT (ms)", "tokens/s"],
     );
-    for r in run_combine_formats() {
+    for r in rows {
         t.row(&[
             r.system.clone(),
             fmt(r.limit.comm_time_us, 2),
@@ -70,12 +70,12 @@ pub fn render_combine_formats() -> Table {
 
 /// Render.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "§2.3.2: theoretical EP decode speed limits",
         &["System", "EP comm (µs)", "per-layer (µs)", "TPOT (ms)", "tokens/s"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[
             r.system.clone(),
             fmt(r.limit.comm_time_us, 2),

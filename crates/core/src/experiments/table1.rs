@@ -35,12 +35,12 @@ pub fn run() -> Vec<Row> {
 
 /// Render like the paper.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "Table 1: KV cache size per token (BF16)",
         &["Model", "KV Cache Per Token", "Multiplier"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[
             r.model.clone(),
             format!("{} KB", fmt(r.kv_cache_kb, 3)),

@@ -31,12 +31,12 @@ pub fn run() -> Vec<Row> {
 
 /// Render like the paper.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "Table 2: training cost per token (seq 4096)",
         &["Model", "Size", "Training Cost"],
     );
-    for r in run() {
+    for r in rows {
         t.row(&[
             r.model.clone(),
             format!("{}B", fmt(r.size_b, 0)),

@@ -12,12 +12,11 @@ pub fn run() -> Vec<Row> {
 
 /// Render like the paper.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "Table 3: network topology comparison",
         &["Metric", "FT2", "MPFT", "FT3", "SF", "DF"],
     );
-    let rows = run();
     let col = |f: &dyn Fn(&Row) -> String| -> Vec<String> { rows.iter().map(f).collect() };
     let mut push = |name: &str, vals: Vec<String>| {
         let mut cells = vec![name.to_string()];
@@ -38,7 +37,7 @@ mod tests {
 
     #[test]
     fn five_topologies_rendered() {
-        let t = render();
+        let t = render(&run());
         assert_eq!(t.headers.len(), 6);
         assert_eq!(t.rows.len(), 5);
     }

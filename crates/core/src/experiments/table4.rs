@@ -19,8 +19,7 @@ pub fn run() -> (Metrics, Metrics) {
 
 /// Render like the paper.
 #[must_use]
-pub fn render() -> Table {
-    let (a, b) = run();
+pub fn render((a, b): &(Metrics, Metrics)) -> Table {
     let mut t = Table::new("Table 4: training metrics, MPFT vs MRFT", &["Metric", "MPFT", "MRFT"]);
     let mut push = |name: &str, x: f64, y: f64, d: usize| {
         t.row(&[name.to_string(), fmt(x, d), fmt(y, d)]);

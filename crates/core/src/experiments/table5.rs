@@ -12,10 +12,10 @@ pub fn run() -> Vec<Row> {
 
 /// Render like the paper.
 #[must_use]
-pub fn render() -> Table {
+pub fn render(rows: &[Row]) -> Table {
     let mut t =
         Table::new("Table 5: 64B end-to-end latency", &["Link Layer", "Same Leaf", "Cross Leaf"]);
-    for r in run() {
+    for r in rows {
         t.row(&[
             r.link_layer.clone(),
             format!("{}us", fmt(r.same_leaf_us, 2)),

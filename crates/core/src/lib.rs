@@ -10,7 +10,7 @@
 //!
 //! let rows = table1::run();
 //! assert_eq!(rows[0].model, "DeepSeek-V3 (MLA)");
-//! println!("{}", table1::render());
+//! println!("{}", table1::render(&rows));
 //! ```
 //!
 //! Substrates are re-exported for direct use:

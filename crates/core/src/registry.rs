@@ -3,23 +3,31 @@
 //!
 //! The `dsv3` binary is a thin shell over this table; keeping it in the
 //! library lets tests drive every experiment through the same entry
-//! points the CLI uses (render + JSON) without spawning processes.
+//! points the CLI uses without spawning processes.
+//!
+//! Every entry follows one protocol. An experiment is a report function
+//! that runs against a `&mut Recorder` (disabled for plain output) and a
+//! renderer for that report; traceable experiments also name their seed
+//! and configuration. `entry` derives everything else from that pair:
+//! the text table, the JSON, the run-manifest inputs and, through the
+//! recorder, the trace — all from a single run.
 
 use crate::experiments::*;
 use crate::report::Table;
 use dsv3_telemetry::{IncidentReport, Recorder, WatchConfig};
+use std::borrow::Borrow;
 
-/// The result of one telemetry-instrumented experiment run: the rendered
-/// outputs (computed once from a single simulation) plus the provenance
-/// the run manifest needs.
+/// The outputs of one experiment run, all computed from a single
+/// simulation, plus the provenance the run manifest needs.
 pub struct InstrumentedRun {
-    /// The text table, identical to the entry's plain `render`.
+    /// The text table, identical to the entry's `render`.
     pub table: Table,
-    /// The JSON report, identical to the entry's plain `json`.
+    /// The JSON report.
     pub json: String,
-    /// Seed the experiment ran under.
+    /// Seed the experiment ran under (`0` for analytic experiments).
     pub seed: u64,
-    /// Serialized configuration (hashed into the manifest).
+    /// Serialized configuration, hashed into the manifest (`"null"` for
+    /// analytic experiments).
     pub config_json: String,
 }
 
@@ -31,208 +39,194 @@ pub struct WatchedRun {
     pub incidents: IncidentReport,
 }
 
-/// One named experiment: how to render it as text and as JSON.
+/// One named experiment.
 pub struct Entry {
     /// CLI name (e.g. `table1`, `serving`).
     pub name: &'static str,
     /// One-line description for `dsv3 list`.
     pub about: &'static str,
-    /// Render the text table.
-    pub render: fn() -> Table,
-    /// Serialize the result rows to JSON.
-    pub json: fn() -> String,
-    /// Run once with telemetry into the recorder (`--trace-out` /
-    /// `--metrics-out`). `None` for analytic experiments with no
-    /// simulation loop worth tracing.
-    pub instrumented: Option<fn(&mut Recorder) -> InstrumentedRun>,
+    /// Whether the experiment names a seed and configuration of its own,
+    /// i.e. has a simulation loop worth auditing.
+    pub traceable: bool,
+    /// Render the text table from one run with recording off.
+    pub render: Box<dyn Fn() -> Table>,
+    /// Run once into the recorder, which is disabled for plain output and
+    /// enabled for `--trace-out` / `--metrics-out` / `dsv3 audit`.
+    pub run: Box<dyn Fn(&mut Recorder) -> InstrumentedRun>,
 }
 
 impl Entry {
-    /// Run the experiment instrumented AND evaluate the watch detectors
-    /// over everything it recorded. `None` for entries with nothing to
-    /// trace. The recorder must be enabled for the detectors to see any
-    /// series; a disabled recorder yields an empty (but valid) report.
+    /// Run the experiment AND evaluate the watch detectors over
+    /// everything it recorded. `None` for entries with nothing to trace.
+    /// The recorder must be enabled for the detectors to see any series;
+    /// a disabled recorder yields an empty (but valid) report.
     pub fn run_watched(&self, rec: &mut Recorder, wcfg: &WatchConfig) -> Option<WatchedRun> {
-        let run = (self.instrumented?)(rec);
+        if !self.traceable {
+            return None;
+        }
+        let run = (self.run)(rec);
         let incidents = dsv3_telemetry::evaluate(self.name, rec, wcfg);
         Some(WatchedRun { run, incidents })
     }
+
+    /// Mark the entry traceable: every run reports `seed()` and
+    /// `config()` for its manifest, and `dsv3 audit` can watch it.
+    fn traced(self, seed: fn() -> u64, config: fn() -> String) -> Self {
+        let run = self.run;
+        Self {
+            traceable: true,
+            run: Box::new(move |rec| InstrumentedRun {
+                seed: seed(),
+                config_json: config(),
+                ..run(rec)
+            }),
+            ..self
+        }
+    }
 }
 
-fn to_json<T: serde::Serialize>(v: &T) -> String {
-    serde_json::to_string_pretty(v).unwrap_or_else(|_| String::from("null"))
-}
-
-/// A plain (un-instrumented) entry.
-fn plain(
+/// The one entry constructor: `report` computes the experiment's report
+/// against a recorder and `render` turns it into the text table. The
+/// entry is analytic (seed `0`, config `null`) until [`Entry::traced`]
+/// names its seed and configuration.
+fn entry<T, R>(
     name: &'static str,
     about: &'static str,
-    render: fn() -> Table,
-    json: fn() -> String,
-) -> Entry {
-    Entry { name, about, render, json, instrumented: None }
+    report: fn(&mut Recorder) -> T,
+    render: fn(&R) -> Table,
+) -> Entry
+where
+    T: Borrow<R> + serde::Serialize + 'static,
+    R: ?Sized + 'static,
+{
+    Entry {
+        name,
+        about,
+        traceable: false,
+        render: Box::new(move || render(report(&mut Recorder::disabled()).borrow())),
+        run: Box::new(move |rec| {
+            let r = report(rec);
+            InstrumentedRun {
+                table: render(r.borrow()),
+                json: serde_json::to_string_pretty(&r).unwrap_or_else(|_| String::from("null")),
+                seed: 0,
+                config_json: String::from("null"),
+            }
+        }),
+    }
 }
 
 /// Every experiment, in presentation order.
 #[must_use]
 pub fn registry() -> Vec<Entry> {
     vec![
-        plain("table1", "KV cache per token (Table 1)", table1::render, || to_json(&table1::run())),
-        plain("table2", "training GFLOPs per token (Table 2)", table2::render, || {
-            to_json(&table2::run())
-        }),
-        plain("table3", "topology cost comparison (Table 3)", table3::render, || {
-            to_json(&table3::run())
-        }),
-        plain("table4", "MPFT vs MRFT training metrics (Table 4)", table4::render, || {
-            to_json(&table4::run())
-        }),
-        plain("table5", "64B end-to-end latency (Table 5)", table5::render, || {
-            to_json(&table5::run())
-        }),
-        plain("fig5", "all-to-all bandwidth sweep (Figure 5)", fig5::render, || {
-            to_json(&fig5::run())
-        }),
-        plain(
-            "fig6",
-            "all-to-all latency sweep (Figure 6)",
-            fig6::render,
-            || to_json(&fig6::run()),
+        entry("table1", "KV cache per token (Table 1)", |_| table1::run(), table1::render),
+        entry("table2", "training GFLOPs per token (Table 2)", |_| table2::run(), table2::render),
+        entry("table3", "topology cost comparison (Table 3)", |_| table3::run(), table3::render),
+        entry(
+            "table4",
+            "MPFT vs MRFT training metrics (Table 4)",
+            |_| table4::run(),
+            table4::render,
         ),
-        plain(
-            "fig7",
-            "DeepEP throughput (Figure 7)",
-            || fig7::render(1024),
-            || to_json(&fig7::run(1024)),
+        entry("table5", "64B end-to-end latency (Table 5)", |_| table5::run(), table5::render),
+        entry("fig5", "all-to-all bandwidth sweep (Figure 5)", |_| fig5::run(), fig5::render),
+        entry("fig6", "all-to-all latency sweep (Figure 6)", |_| fig6::run(), fig6::render),
+        entry("fig7", "DeepEP throughput (Figure 7)", |_| fig7::run(1024), fig7::render),
+        entry("fig8", "RoCE routing-policy study (Figure 8)", |_| fig8::run(), fig8::render),
+        entry(
+            "speed-limits",
+            "EP decode speed limits (§2.3.2)",
+            |_| speed_limits::run(),
+            speed_limits::render,
         ),
-        plain("fig8", "RoCE routing-policy study (Figure 8)", fig8::render, || {
-            to_json(&fig8::run())
-        }),
-        plain("speed-limits", "EP decode speed limits (§2.3.2)", speed_limits::render, || {
-            to_json(&speed_limits::run())
-        }),
-        plain(
+        entry(
             "combine-formats",
             "combine-stage compression (§6.5)",
+            |_| speed_limits::run_combine_formats(),
             speed_limits::render_combine_formats,
-            || to_json(&speed_limits::run_combine_formats()),
         ),
-        plain("mtp", "MTP speculative decoding (§2.3.3)", mtp::render, || to_json(&mtp::run())),
-        plain("fp8-gemm", "FP8 accumulation error (§3.1)", fp8_gemm::render, || {
-            to_json(&fp8_gemm::run(&fp8_gemm::default_ks()))
-        }),
-        plain("logfmt", "LogFMT quality (§3.2)", logfmt::render, || to_json(&logfmt::run())),
-        plain("fp8-training", "FP8 vs BF16 training (§2.4)", fp8_training::render, || {
-            to_json(&fp8_training::run(crate::model::train::TrainConfig::default()))
-        }),
-        plain("node-limited", "node-limited routing traffic (§4.3)", node_limited::render, || {
-            to_json(&node_limited::run(2000))
-        }),
-        plain("local-deploy", "local deployment TPS (§2.2.2)", local_deploy::render, || {
-            to_json(&local_deploy::run())
-        }),
-        plain("robustness", "plane failures & SDC detection (§6.1)", robustness::render, || {
-            to_json(&robustness::plane_failures())
-        }),
-        Entry {
-            name: "fault-drill",
-            about: "seeded fault-injection drill (§5.1.1/§6.1)",
-            render: fault_drill::render,
-            json: || to_json(&fault_drill::run()),
-            instrumented: Some(|rec| {
-                let report = fault_drill::run_instrumented(rec);
-                InstrumentedRun {
-                    table: fault_drill::render_report(&report),
-                    json: to_json(&report),
-                    seed: fault_drill::seed(),
-                    config_json: fault_drill::config_json(),
-                }
-            }),
-        },
-        Entry {
-            name: "resilience",
-            about: "fleet-scale resilience: tiers, spares, elastic, SDC (§6.1)",
-            render: resilience::render,
-            json: || to_json(&resilience::run()),
-            instrumented: Some(|rec| {
-                let report = resilience::run_instrumented(rec);
-                InstrumentedRun {
-                    table: resilience::render_report(&report),
-                    json: to_json(&report),
-                    seed: resilience::seed(),
-                    config_json: resilience::config_json(),
-                }
-            }),
-        },
-        Entry {
-            name: "net-chaos",
-            about: "link chaos: reroute policies vs failed fraction (§5.1.1)",
-            render: net_chaos::render,
-            json: || to_json(&net_chaos::run()),
-            instrumented: Some(|rec| {
-                let report = net_chaos::run_instrumented(rec);
-                InstrumentedRun {
-                    table: net_chaos::render_report(&report),
-                    json: to_json(&report),
-                    seed: net_chaos::seed(),
-                    config_json: net_chaos::config_json(),
-                }
-            }),
-        },
-        Entry {
-            name: "mem-timeline",
-            about: "training memory timeline & fit frontier (§2.1)",
-            render: mem_timeline::render,
-            json: || to_json(&mem_timeline::run()),
-            instrumented: Some(|rec| {
-                let report = mem_timeline::run_instrumented(rec);
-                InstrumentedRun {
-                    table: mem_timeline::render_report(&report),
-                    json: to_json(&report),
-                    seed: mem_timeline::seed(),
-                    config_json: mem_timeline::config_json(),
-                }
-            }),
-        },
-        plain("lint", "workspace invariant lint (determinism/panic/vendor)", lint::render, || {
-            to_json(&lint::run())
-        }),
-        plain(
+        entry("mtp", "MTP speculative decoding (§2.3.3)", |_| mtp::run(), mtp::render),
+        entry(
+            "fp8-gemm",
+            "FP8 accumulation error (§3.1)",
+            |_| fp8_gemm::run(&fp8_gemm::default_ks()),
+            fp8_gemm::render,
+        ),
+        entry("logfmt", "LogFMT quality (§3.2)", |_| logfmt::run(), logfmt::render),
+        entry(
+            "fp8-training",
+            "FP8 vs BF16 training (§2.4)",
+            |_| fp8_training::run(crate::model::train::TrainConfig::default()),
+            fp8_training::render,
+        ),
+        entry(
+            "node-limited",
+            "node-limited routing traffic (§4.3)",
+            |_| node_limited::run(2000),
+            node_limited::render,
+        ),
+        entry(
+            "local-deploy",
+            "local deployment TPS (§2.2.2)",
+            |_| local_deploy::run(),
+            local_deploy::render,
+        ),
+        entry(
+            "robustness",
+            "plane failures & SDC detection (§6.1)",
+            |_| robustness::plane_failures(),
+            robustness::render,
+        ),
+        entry(
+            "fault-drill",
+            "seeded fault-injection drill (§5.1.1/§6.1)",
+            |rec| fault_drill::run(fault_drill::seed(), rec),
+            fault_drill::render,
+        )
+        .traced(fault_drill::seed, fault_drill::config_json),
+        entry(
+            "resilience",
+            "fleet-scale resilience: tiers, spares, elastic, SDC (§6.1)",
+            resilience::run,
+            resilience::render,
+        )
+        .traced(resilience::seed, resilience::config_json),
+        entry(
+            "net-chaos",
+            "link chaos: reroute policies vs failed fraction (§5.1.1)",
+            |rec| net_chaos::run(net_chaos::seed(), rec),
+            net_chaos::render,
+        )
+        .traced(net_chaos::seed, net_chaos::config_json),
+        entry(
+            "mem-timeline",
+            "training memory timeline & fit frontier (§2.1)",
+            mem_timeline::run,
+            mem_timeline::render,
+        )
+        .traced(mem_timeline::seed, mem_timeline::config_json),
+        entry(
+            "lint",
+            "workspace invariant lint (determinism/panic/vendor)",
+            |_| lint::run(),
+            lint::render,
+        ),
+        entry(
             "future-hardware",
             "hardware-recommendation payoffs (§6)",
+            |_| future_hardware::run(),
             future_hardware::render,
-            || to_json(&future_hardware::run()),
         ),
-        Entry {
-            name: "serving",
-            about: "request-level serving simulation (§2.3)",
-            render: serving::render,
-            json: || to_json(&serving::run()),
-            instrumented: Some(|rec| {
-                let report = serving::run_instrumented(rec);
-                InstrumentedRun {
-                    table: serving::render_report(&report),
-                    json: to_json(&report),
-                    seed: serving::seed(),
-                    config_json: serving::config_json(),
-                }
-            }),
-        },
-        Entry {
-            name: "overload",
-            about: "overload-robust serving: admission, ladder, autoscale (§2.3)",
-            render: overload::render,
-            json: || to_json(&overload::run()),
-            instrumented: Some(|rec| {
-                let report = overload::run_instrumented(rec);
-                InstrumentedRun {
-                    table: overload::render_report(&report),
-                    json: to_json(&report),
-                    seed: overload::seed(),
-                    config_json: overload::config_json(),
-                }
-            }),
-        },
+        entry("serving", "request-level serving simulation (§2.3)", serving::run, serving::render)
+            .traced(serving::seed, serving::config_json),
+        entry(
+            "overload",
+            "overload-robust serving: admission, ladder, autoscale (§2.3)",
+            |rec| overload::run_seeded_traced(overload::seed(), rec),
+            overload::render,
+        )
+        .traced(overload::seed, overload::config_json),
     ]
 }
 

@@ -1,43 +1,25 @@
-//! Registry-driven smoke test: every experiment the `dsv3` binary can
-//! name must render a non-trivial table AND emit parseable JSON.
-//!
-//! This is the test the CLI leans on: `dsv3 <name>` and
-//! `dsv3 <name> --json` call exactly these function pointers.
+//! Registry wiring: `dsv3 <name>` prints `(e.run)(…)`'s table or JSON,
+//! and perfbench times `(e.render)()`, so the two must agree. Every
+//! entry's output shape and bytes are checked by the root crate's
+//! `tests/golden_reports.rs`.
 
 use dsv3_core::registry::registry;
+use dsv3_core::telemetry::Recorder;
 
+/// `(e.render)()` and `(e.run)(…).table` are the same table, for an
+/// analytic and a traceable entry alike.
 #[test]
-fn every_entry_renders_a_table() {
-    for e in registry() {
-        let table = (e.render)();
-        assert!(!table.title.is_empty(), "{}: empty title", e.name);
-        assert!(!table.headers.is_empty(), "{}: no headers", e.name);
-        assert!(!table.rows.is_empty(), "{}: no rows", e.name);
-        let text = table.to_string();
-        assert!(text.lines().count() >= 4, "{}: degenerate render:\n{text}", e.name);
-    }
-}
-
-#[test]
-fn every_entry_emits_parseable_json() {
-    for e in registry() {
-        let json = (e.json)();
-        let value = serde_json::parse(&json)
-            .unwrap_or_else(|err| panic!("{}: JSON does not parse: {err}\n{json}", e.name));
-        // Every experiment serializes to an array of rows or an object of
-        // named results — never a bare scalar.
-        assert!(
-            value.as_array().is_some() || value.as_object().is_some(),
-            "{}: unexpected JSON shape",
-            e.name
-        );
+fn render_is_the_plain_run_table() {
+    for name in ["table1", "serving"] {
+        let e = registry().into_iter().find(|e| e.name == name).expect("registered");
+        assert_eq!((e.render)(), (e.run)(&mut Recorder::disabled()).table, "{name}");
     }
 }
 
 #[test]
 fn serving_entry_reports_slo_percentiles() {
     let entry = registry().into_iter().find(|e| e.name == "serving").expect("serving registered");
-    let json = (entry.json)();
+    let json = (entry.run)(&mut Recorder::disabled()).json;
     let value = serde_json::parse(&json).expect("serving JSON parses");
     let top = value.as_object().expect("serving emits an object");
     for policy in ["unified", "disaggregated"] {

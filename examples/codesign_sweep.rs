@@ -11,8 +11,8 @@ use dsv3_core::inference::tpot::SpeedLimitConfig;
 use dsv3_core::parallel::trainstep::{table4, TrainStepConfig};
 
 fn main() {
-    println!("{}", future_hardware::render());
-    println!("{}", speed_limits::render_combine_formats());
+    println!("{}", future_hardware::render(&future_hardware::run()));
+    println!("{}", speed_limits::render_combine_formats(&speed_limits::run_combine_formats()));
 
     // Scale-up bandwidth sweep: where does the EP decode limit cross 10×?
     println!("Decode speed vs scale-up bandwidth (V3, 61 layers, 32 tok/device):");

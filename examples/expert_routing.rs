@@ -15,7 +15,7 @@ use dsv3_core::model::zoo;
 use dsv3_core::numerics::Matrix;
 
 fn main() {
-    println!("{}", node_limited::render());
+    println!("{}", node_limited::render(&node_limited::run(2000)));
 
     // §4.3's bandwidth argument, quantified on the 8-node cluster.
     let cluster = Cluster::new(ClusterConfig::h800(8, FabricKind::MultiPlane));

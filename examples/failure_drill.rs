@@ -25,7 +25,7 @@ use dsv3_core::topology::routing::{
 };
 
 fn main() {
-    println!("{}", robustness::render());
+    println!("{}", robustness::render(&robustness::plane_failures()));
 
     // One seeded timeline drives every drill below.
     let plan = FaultPlan::generate(&FaultPlanConfig {

@@ -6,6 +6,7 @@
 //! ```
 
 use dsv3_core::experiments::{fp8_gemm, fp8_training, logfmt};
+use dsv3_core::model::train::TrainConfig;
 use dsv3_core::numerics::logfmt::fused_codec_overhead;
 use dsv3_core::numerics::minifloat::Format;
 
@@ -27,11 +28,11 @@ fn main() {
     }
     println!();
 
-    println!("{}", fp8_gemm::render());
-    println!("{}", logfmt::render());
+    println!("{}", fp8_gemm::render(&fp8_gemm::run(&fp8_gemm::default_ks())));
+    println!("{}", logfmt::render(&logfmt::run()));
     println!(
         "LogFMT fused-codec overhead on Hopper-class SFUs: {:.0}% (§3.2.1 reports 50-100%)\n",
         fused_codec_overhead(0.25, 0.7) * 100.0
     );
-    println!("{}", fp8_training::render());
+    println!("{}", fp8_training::render(&fp8_training::run(TrainConfig::default())));
 }

@@ -11,7 +11,7 @@ use dsv3_core::inference::overlap::{simulate, LayerPhases};
 use dsv3_core::inference::tpot::SpeedLimitConfig;
 
 fn main() {
-    println!("{}", speed_limits::render());
+    println!("{}", speed_limits::render(&speed_limits::run()));
 
     // What would it take to hit 100 tok/s on the H800 fleet? Sweep bandwidth.
     println!("Bandwidth sweep (61-layer V3 decode, comm-bound):");
@@ -36,7 +36,7 @@ fn main() {
         o.speedup()
     );
 
-    println!("{}", mtp::render());
+    println!("{}", mtp::render(&mtp::run()));
 
     // Prefill/decode disaggregation (§2.3.1).
     let cfg = ServingConfig::default();

@@ -11,9 +11,10 @@ use dsv3_core::memtl::{
     ZeroStage,
 };
 use dsv3_core::model::zoo;
+use dsv3_core::telemetry::Recorder;
 
 fn main() {
-    println!("{}", mem_timeline::render());
+    println!("{}", mem_timeline::render(&mem_timeline::run(&mut Recorder::disabled())));
 
     // The production timeline, rank by rank: where the bytes live.
     let cfg = zoo::deepseek_v3();

@@ -11,7 +11,7 @@ use dsv3_core::topology::fattree::MultiPlane;
 use dsv3_core::topology::slimfly::SlimFly;
 
 fn main() {
-    println!("{}", table3::render());
+    println!("{}", table3::render(&table3::run()));
 
     // How far do the planes take you? Scale the MPFT.
     println!("Multi-plane scaling with 64-port switches:");
@@ -36,8 +36,8 @@ fn main() {
         g.diameter()
     );
 
-    println!("{}", fig5::render());
-    println!("{}", fig6::render());
-    println!("{}", fig7::render(512));
-    println!("{}", fig8::render());
+    println!("{}", fig5::render(&fig5::run()));
+    println!("{}", fig6::render(&fig6::run()));
+    println!("{}", fig7::render(&fig7::run(512)));
+    println!("{}", fig8::render(&fig8::run()));
 }

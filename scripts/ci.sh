@@ -32,52 +32,23 @@ if ./target/release/dsv3 lint --readiness | grep -q "NOT READY"; then
 fi
 ./target/release/dsv3 lint --rules U2,F2,R2,P3 > /dev/null
 
-echo "==> telemetry smoke: dsv3 serving --trace-out emits a valid Chrome trace"
-trace_tmp="$(mktemp /tmp/dsv3_trace.XXXXXX.json)"
-chaos_tmp="$(mktemp /tmp/dsv3_chaos.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp"' EXIT
-./target/release/dsv3 serving --trace-out "$trace_tmp" > /dev/null
-./target/release/dsv3 check-trace "$trace_tmp"
-
-echo "==> chaos smoke: dsv3 net-chaos --json + --trace-out round-trip"
-./target/release/dsv3 net-chaos --json > /dev/null
-./target/release/dsv3 net-chaos --trace-out "$chaos_tmp" > /dev/null
-./target/release/dsv3 check-trace "$chaos_tmp"
-
-echo "==> memory-timeline smoke: dsv3 mem-timeline --json + --trace-out round-trip"
-memtl_tmp="$(mktemp /tmp/dsv3_memtl.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp"' EXIT
-./target/release/dsv3 mem-timeline --json > /dev/null
-./target/release/dsv3 mem-timeline --trace-out "$memtl_tmp" > /dev/null
-./target/release/dsv3 check-trace "$memtl_tmp"
-
-echo "==> overload smoke: dsv3 overload --json + --trace-out round-trip"
-overload_tmp="$(mktemp /tmp/dsv3_overload.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp" "$overload_tmp"' EXIT
-./target/release/dsv3 overload --json > /dev/null
-./target/release/dsv3 overload --trace-out "$overload_tmp" > /dev/null
-./target/release/dsv3 check-trace "$overload_tmp"
-
-echo "==> resilience smoke: dsv3 resilience --json + --trace-out round-trip"
-resilience_tmp="$(mktemp /tmp/dsv3_resilience.XXXXXX.json)"
-resilience_metrics_tmp="$(mktemp /tmp/dsv3_resilience_metrics.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp" "$overload_tmp" "$resilience_tmp" "$resilience_metrics_tmp"' EXIT
-./target/release/dsv3 resilience --json > /dev/null
-./target/release/dsv3 resilience --trace-out "$resilience_tmp" > /dev/null
-./target/release/dsv3 check-trace "$resilience_tmp"
-./target/release/dsv3 resilience --metrics-out "$resilience_metrics_tmp" > /dev/null
-./target/release/dsv3 check-metrics "$resilience_metrics_tmp"
-
-echo "==> metrics smoke: dsv3 serving --metrics-out emits a valid metrics document"
-metrics_tmp="$(mktemp /tmp/dsv3_metrics.XXXXXX.json)"
-incidents_tmp="$(mktemp /tmp/dsv3_incidents.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$chaos_tmp" "$memtl_tmp" "$overload_tmp" "$resilience_tmp" "$resilience_metrics_tmp" "$metrics_tmp" "$incidents_tmp"' EXIT
-./target/release/dsv3 serving --metrics-out "$metrics_tmp" > /dev/null
-./target/release/dsv3 check-metrics "$metrics_tmp"
+echo "==> telemetry smoke: --json, --trace-out and --metrics-out of every traceable experiment"
+smoke_dir="$(mktemp -d /tmp/dsv3_smoke.XXXXXX)"
+trap 'rm -rf "$smoke_dir"' EXIT
+for name in serving fault-drill net-chaos mem-timeline overload resilience; do
+  ./target/release/dsv3 "$name" --json > /dev/null
+  ./target/release/dsv3 "$name" --trace-out "$smoke_dir/$name.trace.json" > /dev/null
+  ./target/release/dsv3 check-trace "$smoke_dir/$name.trace.json"
+  ./target/release/dsv3 "$name" --metrics-out "$smoke_dir/$name.metrics.json" > /dev/null
+  ./target/release/dsv3 check-metrics "$smoke_dir/$name.metrics.json"
+done
 
 echo "==> audit smoke: dsv3 audit overload fires the watchdog deterministically"
-./target/release/dsv3 audit overload --incidents-out "$incidents_tmp" > /dev/null
-grep -q '"detector": "metastability"' "$incidents_tmp"
+./target/release/dsv3 audit overload --incidents-out "$smoke_dir/incidents.json" > /dev/null
+grep -q '"detector": "metastability"' "$smoke_dir/incidents.json"
+
+echo "==> closed pipe: dsv3 exits cleanly when its reader goes away"
+./target/release/dsv3 all | head -n 1 > /dev/null
 
 # Deterministic checks run before the wall-clock gates below, so a gate
 # that fails for host-speed reasons cannot hide a correctness failure.

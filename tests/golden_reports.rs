@@ -1,180 +1,164 @@
-//! Golden-output tests: with telemetry off, the `serving` and
-//! `fault-drill` reports are byte-identical to the pre-telemetry
-//! captures under `tests/golden/` — instrumenting the simulators must
-//! not perturb a single byte of the default output.
+//! Golden-output tests: every registry experiment except `lint` (whose
+//! output depends on the source tree) prints exactly what `tests/golden/`
+//! captured — `<name>.txt` is what `dsv3 <name>` prints and
+//! `<name>.json` what `dsv3 <name> --json` prints, trailing newline
+//! included. Refactors and fast paths (the bit-level FP8 numerics, the
+//! incremental max-min solver, the single serving-engine loop) must not
+//! move a byte of them.
 //!
-//! The registry entries that run the emulated FP8 pipeline
-//! (`fp8-training` at its default 300 steps, `fp8-gemm`, `logfmt`,
-//! `robustness`) are pinned the same way, so the bit-level numerics fast
-//! path provably changes no printed byte.
-//!
-//! Every registry entry that reaches the flow simulator (`fig5`, `fig6`,
-//! `fig7` at its default registry parameters, `fig8`, `table5`,
-//! `net-chaos`, `future-hardware`) is pinned too, so the incremental
-//! max-min solver provably changes no printed byte either.
-//!
-//! `overload` is pinned the same way, so every consumer of the serving
-//! engine has a text and JSON golden. The engine's side channels are
-//! pinned too: for `serving` and `fault-drill` (crashes, hedging, plane
-//! flaps, SDC), the FNV-1a digests of the Chrome trace (`--trace-out`),
-//! the metrics snapshot (`--metrics-out`) and the watchdog incident
-//! report (`--incidents-out`) of one `dsv3 audit` run must not change.
+//! Each entry runs once per test binary, through the same
+//! `(e.run)(&mut Recorder::disabled())` call the CLI makes; its text and
+//! JSON tests share that run, which also checks the table's shape. The
+//! traceable entries run once more with recording on and must print the
+//! same bytes: the trace is a pure side channel. The engine's side
+//! channels are pinned too: for `serving` and `fault-drill` (crashes,
+//! hedging, plane flaps, SDC), the FNV-1a digests of the Chrome trace
+//! (`--trace-out`), the metrics snapshot (`--metrics-out`) and the
+//! watchdog incident report (`--incidents-out`) of one `dsv3 audit` run
+//! must not change.
 
-use dsv3_core::registry;
+use dsv3_core::registry::{registry, Entry, InstrumentedRun};
 use dsv3_core::telemetry::{Recorder, WatchConfig};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-fn entry(name: &str) -> dsv3_core::Entry {
+fn entry(name: &str) -> Entry {
     registry().into_iter().find(|e| e.name == name).expect("registered")
 }
 
-/// A golden file is exactly what `dsv3 <name>` prints: the rendered
-/// table plus the trailing newline `println!` appends.
-fn rendered(name: &str) -> String {
-    format!("{}\n", (entry(name).render)())
+/// Panics naming the entry and the first line where `got` leaves `want`.
+fn assert_golden(name: &str, what: &str, got: &str, want: &str) {
+    if got == want {
+        return;
+    }
+    let (got, want): (Vec<&str>, Vec<&str>) =
+        (got.split('\n').collect(), want.split('\n').collect());
+    let i = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)).unwrap_or(0);
+    panic!(
+        "{name}: {what} differs from its golden at line {}:\n   got: {:?}\n  want: {:?}",
+        i + 1,
+        got.get(i),
+        want.get(i)
+    );
 }
 
-fn json(name: &str) -> String {
-    format!("{}\n", (entry(name).json)())
+/// The shape every entry's output must have, golden or not: a titled,
+/// non-degenerate table and JSON that is an array or an object of rows.
+fn assert_shape(name: &str, run: &InstrumentedRun) {
+    let t = &run.table;
+    assert!(!t.title.is_empty(), "{name}: empty title");
+    assert!(!t.headers.is_empty(), "{name}: no headers");
+    assert!(!t.rows.is_empty(), "{name}: no rows");
+    let text = t.to_string();
+    assert!(text.lines().count() >= 4, "{name}: degenerate render:\n{text}");
+    assert!(text.contains('|'), "{name}: not a table:\n{text}");
+    let value = serde_json::parse(&run.json)
+        .unwrap_or_else(|err| panic!("{name}: JSON does not parse: {err}\n{}", run.json));
+    assert!(
+        value.as_array().is_some() || value.as_object().is_some(),
+        "{name}: JSON is neither an array nor an object"
+    );
 }
 
+/// The one plain run of `name` in this test binary, shape-checked.
+fn plain_run(name: &'static str) -> &'static InstrumentedRun {
+    static RUNS: OnceLock<BTreeMap<&str, OnceLock<InstrumentedRun>>> = OnceLock::new();
+    let runs = RUNS.get_or_init(|| GOLDENS.iter().map(|&(n, ..)| (n, OnceLock::new())).collect());
+    runs[name].get_or_init(|| {
+        let run = (entry(name).run)(&mut Recorder::disabled());
+        assert_shape(name, &run);
+        run
+    })
+}
+
+fn golden(name: &str) -> (&'static str, &'static str) {
+    let &(_, txt, js) = GOLDENS.iter().find(|g| g.0 == name).expect("pinned");
+    (txt, js)
+}
+
+fn check_text(name: &'static str) {
+    assert_golden(name, "text", &format!("{}\n", plain_run(name).table), golden(name).0);
+}
+
+fn check_json(name: &'static str) {
+    assert_golden(name, "JSON", &format!("{}\n", plain_run(name).json), golden(name).1);
+}
+
+/// One row per pinned entry: the golden files' stem, the registry name,
+/// and the text and JSON tests to generate.
+macro_rules! goldens {
+    ($($stem:ident: $name:literal => $text:ident, $json:ident;)*) => {
+        /// `(name, text golden, JSON golden)` of every pinned entry.
+        const GOLDENS: &[(&str, &str, &str)] = &[$((
+            $name,
+            include_str!(concat!("golden/", stringify!($stem), ".txt")),
+            include_str!(concat!("golden/", stringify!($stem), ".json")),
+        )),*];
+        $(
+            #[test]
+            fn $text() {
+                check_text($name);
+            }
+
+            #[test]
+            fn $json() {
+                check_json($name);
+            }
+        )*
+    };
+}
+
+goldens! {
+    table1: "table1" => table1_text_report_matches_golden, table1_json_report_matches_golden;
+    table2: "table2" => table2_text_report_matches_golden, table2_json_report_matches_golden;
+    table3: "table3" => table3_text_report_matches_golden, table3_json_report_matches_golden;
+    table4: "table4" => table4_text_report_matches_golden, table4_json_report_matches_golden;
+    table5: "table5" => table5_text_report_matches_golden, table5_json_report_matches_golden;
+    fig5: "fig5" => fig5_text_report_matches_golden, fig5_json_report_matches_golden;
+    fig6: "fig6" => fig6_text_report_matches_golden, fig6_json_report_matches_golden;
+    fig7: "fig7" => fig7_text_report_matches_golden, fig7_json_report_matches_golden;
+    fig8: "fig8" => fig8_text_report_matches_golden, fig8_json_report_matches_golden;
+    speed_limits: "speed-limits" =>
+        speed_limits_text_report_matches_golden, speed_limits_json_report_matches_golden;
+    combine_formats: "combine-formats" =>
+        combine_formats_text_report_matches_golden, combine_formats_json_report_matches_golden;
+    mtp: "mtp" => mtp_text_report_matches_golden, mtp_json_report_matches_golden;
+    fp8_gemm: "fp8-gemm" => fp8_gemm_text_report_matches_golden, fp8_gemm_json_report_matches_golden;
+    logfmt: "logfmt" => logfmt_text_report_matches_golden, logfmt_json_report_matches_golden;
+    fp8_training: "fp8-training" =>
+        fp8_training_text_report_matches_golden, fp8_training_json_report_matches_golden;
+    node_limited: "node-limited" =>
+        node_limited_text_report_matches_golden, node_limited_json_report_matches_golden;
+    local_deploy: "local-deploy" =>
+        local_deploy_text_report_matches_golden, local_deploy_json_report_matches_golden;
+    robustness: "robustness" =>
+        robustness_text_report_matches_golden, robustness_json_report_matches_golden;
+    fault_drill: "fault-drill" =>
+        fault_drill_text_report_matches_golden, fault_drill_json_report_matches_golden;
+    resilience: "resilience" =>
+        resilience_text_report_matches_golden, resilience_json_report_matches_golden;
+    net_chaos: "net-chaos" =>
+        net_chaos_text_report_matches_golden, net_chaos_json_report_matches_golden;
+    mem_timeline: "mem-timeline" =>
+        mem_timeline_text_report_matches_golden, mem_timeline_json_report_matches_golden;
+    future_hardware: "future-hardware" =>
+        future_hardware_text_report_matches_golden, future_hardware_json_report_matches_golden;
+    serving: "serving" => serving_text_report_matches_golden, serving_json_report_matches_golden;
+    overload: "overload" => overload_text_report_matches_golden, overload_json_report_matches_golden;
+}
+
+/// Every entry but `lint` is pinned; `lint`, which scans the source tree,
+/// is checked for shape only.
 #[test]
-fn serving_text_report_matches_golden() {
-    assert_eq!(rendered("serving"), include_str!("golden/serving.txt"));
-}
-
-#[test]
-fn serving_json_report_matches_golden() {
-    assert_eq!(json("serving"), include_str!("golden/serving.json"));
-}
-
-#[test]
-fn fault_drill_text_report_matches_golden() {
-    assert_eq!(rendered("fault-drill"), include_str!("golden/fault_drill.txt"));
-}
-
-#[test]
-fn fault_drill_json_report_matches_golden() {
-    assert_eq!(json("fault-drill"), include_str!("golden/fault_drill.json"));
-}
-
-#[test]
-fn fp8_training_text_report_matches_golden() {
-    assert_eq!(rendered("fp8-training"), include_str!("golden/fp8_training.txt"));
-}
-
-#[test]
-fn fp8_training_json_report_matches_golden() {
-    assert_eq!(json("fp8-training"), include_str!("golden/fp8_training.json"));
-}
-
-#[test]
-fn fp8_gemm_text_report_matches_golden() {
-    assert_eq!(rendered("fp8-gemm"), include_str!("golden/fp8_gemm.txt"));
-}
-
-#[test]
-fn fp8_gemm_json_report_matches_golden() {
-    assert_eq!(json("fp8-gemm"), include_str!("golden/fp8_gemm.json"));
-}
-
-#[test]
-fn logfmt_text_report_matches_golden() {
-    assert_eq!(rendered("logfmt"), include_str!("golden/logfmt.txt"));
-}
-
-#[test]
-fn logfmt_json_report_matches_golden() {
-    assert_eq!(json("logfmt"), include_str!("golden/logfmt.json"));
-}
-
-#[test]
-fn robustness_text_report_matches_golden() {
-    assert_eq!(rendered("robustness"), include_str!("golden/robustness.txt"));
-}
-
-#[test]
-fn robustness_json_report_matches_golden() {
-    assert_eq!(json("robustness"), include_str!("golden/robustness.json"));
-}
-
-#[test]
-fn fig5_text_report_matches_golden() {
-    assert_eq!(rendered("fig5"), include_str!("golden/fig5.txt"));
-}
-
-#[test]
-fn fig5_json_report_matches_golden() {
-    assert_eq!(json("fig5"), include_str!("golden/fig5.json"));
-}
-
-#[test]
-fn fig6_text_report_matches_golden() {
-    assert_eq!(rendered("fig6"), include_str!("golden/fig6.txt"));
-}
-
-#[test]
-fn fig6_json_report_matches_golden() {
-    assert_eq!(json("fig6"), include_str!("golden/fig6.json"));
-}
-
-#[test]
-fn fig7_text_report_matches_golden() {
-    assert_eq!(rendered("fig7"), include_str!("golden/fig7.txt"));
-}
-
-#[test]
-fn fig7_json_report_matches_golden() {
-    assert_eq!(json("fig7"), include_str!("golden/fig7.json"));
-}
-
-#[test]
-fn fig8_text_report_matches_golden() {
-    assert_eq!(rendered("fig8"), include_str!("golden/fig8.txt"));
-}
-
-#[test]
-fn fig8_json_report_matches_golden() {
-    assert_eq!(json("fig8"), include_str!("golden/fig8.json"));
-}
-
-#[test]
-fn table5_text_report_matches_golden() {
-    assert_eq!(rendered("table5"), include_str!("golden/table5.txt"));
-}
-
-#[test]
-fn table5_json_report_matches_golden() {
-    assert_eq!(json("table5"), include_str!("golden/table5.json"));
-}
-
-#[test]
-fn net_chaos_text_report_matches_golden() {
-    assert_eq!(rendered("net-chaos"), include_str!("golden/net_chaos.txt"));
-}
-
-#[test]
-fn net_chaos_json_report_matches_golden() {
-    assert_eq!(json("net-chaos"), include_str!("golden/net_chaos.json"));
-}
-
-#[test]
-fn future_hardware_text_report_matches_golden() {
-    assert_eq!(rendered("future-hardware"), include_str!("golden/future_hardware.txt"));
-}
-
-#[test]
-fn future_hardware_json_report_matches_golden() {
-    assert_eq!(json("future-hardware"), include_str!("golden/future_hardware.json"));
-}
-
-#[test]
-fn overload_text_report_matches_golden() {
-    assert_eq!(rendered("overload"), include_str!("golden/overload.txt"));
-}
-
-#[test]
-fn overload_json_report_matches_golden() {
-    assert_eq!(json("overload"), include_str!("golden/overload.json"));
+fn every_entry_is_pinned_or_lint() {
+    for e in registry() {
+        if e.name == "lint" {
+            assert_shape(e.name, &(e.run)(&mut Recorder::disabled()));
+        } else {
+            assert!(GOLDENS.iter().any(|g| g.0 == e.name), "{}: no golden", e.name);
+        }
+    }
+    assert_eq!(GOLDENS.len(), registry().len() - 1, "a golden names no registry entry");
 }
 
 /// FNV-1a, 64-bit: the trace files run to megabytes, so they are pinned
@@ -205,22 +189,22 @@ fn audited_side_channels_match_golden_digests() {
     }
 }
 
-/// The instrumented path computes the same report the plain path does —
-/// the trace is a pure side channel.
+/// The recorded run of every traceable entry prints the same bytes as
+/// the plain one — the trace is a pure side channel.
 #[test]
 fn instrumented_reports_match_goldens_too() {
-    for (name, txt, js) in [
-        ("serving", include_str!("golden/serving.txt"), include_str!("golden/serving.json")),
-        (
-            "fault-drill",
-            include_str!("golden/fault_drill.txt"),
-            include_str!("golden/fault_drill.json"),
-        ),
-    ] {
+    let traceable: Vec<Entry> = registry().into_iter().filter(|e| e.traceable).collect();
+    let names: Vec<&str> = traceable.iter().map(|e| e.name).collect();
+    assert_eq!(
+        names,
+        ["fault-drill", "resilience", "net-chaos", "mem-timeline", "serving", "overload"]
+    );
+    for e in traceable {
+        let (txt, js) = golden(e.name);
         let mut rec = Recorder::new();
-        let run = (entry(name).instrumented.expect("traceable"))(&mut rec);
-        assert_eq!(format!("{}\n", run.table), txt, "{name} instrumented table drifted");
-        assert_eq!(format!("{}\n", run.json), js, "{name} instrumented JSON drifted");
-        assert!(!rec.events().is_empty(), "{name} instrumented run must actually trace");
+        let run = (e.run)(&mut rec);
+        assert_golden(e.name, "recorded text", &format!("{}\n", run.table), txt);
+        assert_golden(e.name, "recorded JSON", &format!("{}\n", run.json), js);
+        assert!(!rec.events().is_empty(), "{} recorded run must actually trace", e.name);
     }
 }

@@ -3,6 +3,7 @@
 //! can consume `dsv3 --json` output reliably.
 
 use dsv3_core::experiments::*;
+use dsv3_core::telemetry::Recorder;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -75,7 +76,7 @@ fn serving_types_roundtrip() {
         RouterPolicy::Unified,
     ));
     roundtrip(&report);
-    roundtrip(&dsv3_core::experiments::serving::run());
+    roundtrip(&dsv3_core::experiments::serving::run(&mut Recorder::disabled()));
 
     // KvCacheManager-adjacent error type, all variants.
     roundtrip(&CacheError::OutOfMemory { requested: 4096, free: 128 });
@@ -152,7 +153,7 @@ fn fault_types_roundtrip() {
     let mut sim = ChaosSim::new(vec![Link { capacity_gbps: 40.0 }; 16]);
     sim.add_flow(vec![vec![0], vec![1]], 1e6, 0.0, 2.0);
     roundtrip(&sim.run(&chaos_cfg));
-    roundtrip(&net_chaos::run());
+    roundtrip(&net_chaos::run(net_chaos::seed(), &mut Recorder::disabled()));
 
     // The full fault-aware serving report and the fault_drill rows.
     let sim = ServingSimConfig::h800_baseline(
@@ -170,7 +171,7 @@ fn fault_types_roundtrip() {
     let report = run_with_faults(&sim, &plan, &RecoveryPolicy::hedged());
     roundtrip(&report.faults);
     roundtrip(&report);
-    roundtrip(&fault_drill::run());
+    roundtrip(&fault_drill::run(fault_drill::seed(), &mut Recorder::disabled()));
 }
 
 #[test]
@@ -237,7 +238,7 @@ fn overload_types_roundtrip() {
     roundtrip(&report);
 
     // The registry experiment's full report.
-    roundtrip(&overload::run());
+    roundtrip(&overload::run_seeded(overload::seed()));
 }
 
 #[test]
@@ -272,7 +273,7 @@ fn memtl_types_roundtrip() {
     roundtrip(&largest_fitting(&cfg, &MemPlan::deepseek_v3_production(), &q));
 
     // The registry experiment's full report.
-    roundtrip(&mem_timeline::run());
+    roundtrip(&mem_timeline::run(&mut Recorder::disabled()));
 }
 
 #[test]
@@ -354,7 +355,7 @@ fn resilience_types_roundtrip() {
     roundtrip(&ResilienceError::InvalidStack { reason: "empty".into() });
 
     // The registry experiment's full sweep report.
-    roundtrip(&resilience::run());
+    roundtrip(&resilience::run(&mut Recorder::disabled()));
 }
 
 #[test]
