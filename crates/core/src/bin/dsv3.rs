@@ -185,8 +185,12 @@ fn check_metrics(path: &str) -> Result<(), ExitCode> {
 /// Write the optional trace/metrics artifacts for a completed recording.
 fn write_telemetry(rec: &Recorder, manifest: &RunManifest, cli: &Cli) -> Result<(), ExitCode> {
     if let Some(path) = &cli.trace_out {
-        let trace = rec.export_trace().to_json();
-        if let Err(err) = std::fs::write(path, trace) {
+        let written = std::fs::File::create(path).and_then(|file| {
+            let mut out = std::io::BufWriter::new(file);
+            rec.export_trace().write_json(&mut out)?;
+            out.flush()
+        });
+        if let Err(err) = written {
             eprintln!("cannot write trace to '{path}': {err}");
             return Err(ExitCode::FAILURE);
         }

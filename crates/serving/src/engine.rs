@@ -562,6 +562,9 @@ struct Sink<'a> {
     /// TTFT met, TPOT met, both met (and uncorrupted): the SLO series.
     slo_ok: [String; 3],
     replicas: Vec<String>,
+    /// Request `rid`'s track tids (original, hedge clone), 0 until first
+    /// registered: each label is formatted and looked up once per run.
+    req_tids: Vec<[u64; 2]>,
 }
 
 impl<'a> Sink<'a> {
@@ -594,7 +597,21 @@ impl<'a> Sink<'a> {
             offered: name("offered"),
             slo_ok: ["slo.ttft_ok", "slo.tpot_ok", "slo.good"].map(name),
             replicas: Vec::new(),
+            req_tids: Vec::new(),
         }
+    }
+
+    /// The track of request `rid` (`clone_tag` 1: its hedge clone's),
+    /// registered on first use.
+    fn req_tid(&mut self, rid: usize, clone_tag: u8) -> u64 {
+        if self.req_tids.len() <= rid {
+            self.req_tids.resize(rid + 1, [0; 2]);
+        }
+        let slot = &mut self.req_tids[rid][usize::from(clone_tag)];
+        if *slot == 0 {
+            *slot = self.rec.thread(self.pid_req, &req_label(rid, clone_tag));
+        }
+        *slot
     }
 
     /// Instant `name` on request `rid`'s track (`clone_tag` 1: the hedge
@@ -602,7 +619,7 @@ impl<'a> Sink<'a> {
     #[inline]
     fn mark(&mut self, rid: usize, clone_tag: u8, name: &str, now_ms: f64) {
         if self.on {
-            let tid = self.rec.thread(self.pid_req, &req_label(rid, clone_tag));
+            let tid = self.req_tid(rid, clone_tag);
             self.rec.instant(self.pid_req, tid, "request", name, ms_to_us(now_ms));
         }
     }
@@ -611,7 +628,7 @@ impl<'a> Sink<'a> {
     #[inline]
     fn close_and_mark(&mut self, job: &Job, name: &str, now_ms: f64) {
         if self.on {
-            let tid = self.rec.thread(self.pid_req, &req_label(job.rid(), job.clone_tag));
+            let tid = self.req_tid(job.rid(), job.clone_tag);
             if job.admitted_ms.is_finite() {
                 let start = ms_to_us(job.admitted_ms);
                 self.rec.span(self.pid_req, tid, "request", "decode", start, ms_to_us(now_ms));
@@ -644,7 +661,7 @@ impl<'a> Sink<'a> {
     #[inline]
     fn admitted(&mut self, job: &Job, now_ms: f64) {
         if self.on {
-            let tid = self.rec.thread(self.pid_req, &req_label(job.rid(), job.clone_tag));
+            let tid = self.req_tid(job.rid(), job.clone_tag);
             let (ready, now) = (ms_to_us(job.ready_ms), ms_to_us(now_ms));
             if job.prefill_enter_ms.is_finite() {
                 let enter = ms_to_us(job.prefill_enter_ms);

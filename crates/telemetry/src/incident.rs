@@ -104,7 +104,7 @@ pub struct IncidentReport {
 /// (`"rung-degrade 0->1"`) vary per occurrence and would fragment the
 /// blame table, so both are stripped.
 #[must_use]
-pub fn normalize_cause(name: &str) -> String {
+pub fn normalize_cause(name: &str) -> &str {
     let mut label = name;
     if let Some(pos) = label.rfind(" #") {
         if label[pos + 2..].chars().all(|c| c.is_ascii_digit()) && pos + 2 < label.len() {
@@ -116,46 +116,52 @@ pub fn normalize_cause(name: &str) -> String {
             label = first;
         }
     }
-    label.to_string()
+    label
 }
 
-/// One instant event flattened for correlation.
-struct CauseEvent {
+/// One instant event flattened for correlation, borrowing the
+/// recorder's strings.
+struct CauseEvent<'a> {
     ts_ms: f64,
-    scope: String,
-    cause: String,
-    cat: String,
+    scope: &'a str,
+    cause: &'a str,
+    cat: &'a str,
 }
 
 /// Collect every instant event (`ph == "i"`) from the recorder, stamped
 /// with the scope owning its process track. Trace timestamps are
 /// microseconds; everything here is converted to ms to match series
 /// time.
-fn cause_events(rec: &Recorder) -> Vec<CauseEvent> {
-    let pid_scope: BTreeMap<u64, String> = rec
+fn cause_events(rec: &Recorder) -> Vec<CauseEvent<'_>> {
+    let pid_scope: BTreeMap<u64, &str> = rec
         .processes()
         .iter()
-        .map(|(label, &pid)| {
-            let scope = label.split('/').next().unwrap_or(label).to_string();
-            (pid, scope)
-        })
+        .map(|(label, &pid)| (pid, label.split('/').next().unwrap_or(label)))
         .collect();
     rec.events()
         .iter()
         .filter(|ev| ev.ph == "i")
         .map(|ev| CauseEvent {
             ts_ms: ev.ts / 1000.0,
-            scope: pid_scope.get(&ev.pid).cloned().unwrap_or_default(),
-            cause: normalize_cause(&ev.name),
-            cat: ev.cat.clone(),
+            scope: pid_scope.get(&ev.pid).copied().unwrap_or_default(),
+            cause: normalize_cause(ev.name),
+            cat: ev.cat,
         })
         .collect()
 }
 
-fn rank(table: BTreeMap<(String, String), (u64, f64)>, max_causes: usize) -> Vec<BlameEntry> {
+/// Blame accumulated per `(cause, cat)`: instants counted and weight.
+type BlameTable<'a> = BTreeMap<(&'a str, &'a str), (u64, f64)>;
+
+fn rank(table: BlameTable<'_>, max_causes: usize) -> Vec<BlameEntry> {
     let mut entries: Vec<BlameEntry> = table
         .into_iter()
-        .map(|((cause, cat), (count, score))| BlameEntry { cause, cat, count, score })
+        .map(|((cause, cat), (count, score))| BlameEntry {
+            cause: cause.to_string(),
+            cat: cat.to_string(),
+            count,
+            score,
+        })
         .collect();
     entries.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.cause.cmp(&b.cause)));
     entries.truncate(max_causes);
@@ -166,21 +172,20 @@ fn rank(table: BTreeMap<(String, String), (u64, f64)>, max_causes: usize) -> Vec
 /// and return the report-level merged table.
 pub fn attribute(rec: &Recorder, alerts: &mut [Alert], cfg: &BlameConfig) -> Vec<BlameEntry> {
     let events = cause_events(rec);
-    let mut global: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
+    let mut global = BlameTable::new();
     for alert in alerts.iter_mut() {
         let onset = alert.pending_ms;
-        let mut table: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
+        let mut table = BlameTable::new();
         for ev in events.iter().filter(|ev| ev.scope == alert.scope) {
             if ev.ts_ms > onset || ev.ts_ms < onset - cfg.lookback_ms {
                 continue;
             }
             let w = (-(onset - ev.ts_ms) / cfg.tau_ms).exp();
-            let slot = table.entry((ev.cause.clone(), ev.cat.clone())).or_insert((0, 0.0));
-            slot.0 += 1;
-            slot.1 += w;
-            let g = global.entry((ev.cause.clone(), ev.cat.clone())).or_insert((0, 0.0));
-            g.0 += 1;
-            g.1 += w;
+            for slot in [&mut table, &mut global] {
+                let slot = slot.entry((ev.cause, ev.cat)).or_insert((0, 0.0));
+                slot.0 += 1;
+                slot.1 += w;
+            }
         }
         alert.blame = rank(table, cfg.max_causes);
     }

@@ -9,9 +9,12 @@
 //!   [`Histogram`]s, plus span/instant/counter-sample trace events. Every
 //!   timestamp is **simulation time** supplied by the instrumented code
 //!   (never a wall clock), so traces are byte-reproducible per seed.
+//!   Events are buffered compactly (interned names, fixed-shape
+//!   arguments) and read in place through [`Recorder::events`].
 //! - [`ChromeTrace`] — export in the Chrome trace-event JSON format,
 //!   loadable in Perfetto (<https://ui.perfetto.dev>) or
-//!   `chrome://tracing`.
+//!   `chrome://tracing`. [`Recorder::export_trace`] builds it, and
+//!   [`ChromeTrace::write_json`], the one writer, streams it.
 //! - [`RunManifest`] — experiment name, seed, config hash, crate
 //!   version, and a counter snapshot, attached to instrumented reports
 //!   so any artifact can be traced back to the exact run that made it.
@@ -50,7 +53,8 @@ pub use manifest::{
     RunManifest,
 };
 pub use recorder::{
-    HistogramSummary, MetricsSnapshot, Recorder, DEFAULT_MAX_EVENTS, DROPPED_EVENTS_COUNTER,
+    EventView, Events, HistogramSummary, MetricsSnapshot, Recorder, DEFAULT_MAX_EVENTS,
+    DROPPED_EVENTS_COUNTER,
 };
 pub use series::{Series, SeriesBucket, DEFAULT_MAX_BUCKETS};
 pub use trace::{validate_chrome_trace, ChromeTrace, TraceEvent, TraceStats};

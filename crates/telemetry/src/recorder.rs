@@ -6,6 +6,14 @@
 //! filled by a deterministic simulation exports byte-identical JSON on
 //! every run. A disabled recorder early-returns from every method: the
 //! instrumented hot loops pay one branch and nothing else.
+//!
+//! Trace events are buffered compactly: names and categories are
+//! interned `u32` symbols, the phase is an enum and the one argument an
+//! event can carry has a fixed shape, so recording an event allocates
+//! nothing once its strings are known. Metric maps are looked up by
+//! `&str` and allocate only for a new name. [`Recorder::events`] reads
+//! the buffer in place; [`Recorder::export_trace`] is the only place the
+//! owned [`TraceEvent`]s of a [`ChromeTrace`] are built.
 
 use std::collections::BTreeMap;
 
@@ -60,6 +68,145 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
+/// Interned string: an index into [`Symbols::names`]. Four billion
+/// distinct strings is far more than [`DEFAULT_MAX_EVENTS`] events name.
+type Sym = u32;
+
+/// Every string the trace buffer refers to, stored once.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Symbols {
+    names: Vec<String>,
+    index: BTreeMap<String, Sym>,
+}
+
+impl Symbols {
+    fn get(&self, s: &str) -> Option<Sym> {
+        self.index.get(s).copied()
+    }
+
+    /// The symbol of `s`, allocating only the first time `s` is seen.
+    fn intern(&mut self, s: &str) -> Sym {
+        if let Some(sym) = self.get(s) {
+            return sym;
+        }
+        let sym = self.names.len() as Sym;
+        self.names.push(s.to_string());
+        self.index.insert(s.to_string(), sym);
+        sym
+    }
+
+    fn resolve(&self, sym: Sym) -> &str {
+        &self.names[sym as usize]
+    }
+}
+
+/// Trace-event phase (the Chrome `ph` code); `Mark` is an instant event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Span,
+    Mark,
+    Counter,
+    Meta,
+}
+
+impl Phase {
+    fn code(self) -> &'static str {
+        match self {
+            Phase::Span => "X",
+            Phase::Mark => "i",
+            Phase::Counter => "C",
+            Phase::Meta => "M",
+        }
+    }
+}
+
+/// The one argument an event carries: a counter sample's `value` or a
+/// metadata event's `name`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arg {
+    None,
+    Value(f64),
+    Name(Sym),
+}
+
+/// One buffered trace event. It owns no heap memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Event {
+    name: Sym,
+    cat: Sym,
+    ph: Phase,
+    arg: Arg,
+    ts: f64,
+    dur: f64,
+    pid: u64,
+    tid: u64,
+}
+
+/// A recorded trace event, read in place (see [`Recorder::events`]).
+/// Its argument is only exported, by [`Recorder::export_trace`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventView<'a> {
+    /// Event name (span label, counter name, or metadata kind).
+    pub name: &'a str,
+    /// Category.
+    pub cat: &'a str,
+    /// Phase code: `"X"`, `"i"`, `"C"` or `"M"`.
+    pub ph: &'static str,
+    /// Timestamp, microseconds of simulation time.
+    pub ts: f64,
+    /// Duration, microseconds (zero for non-span events).
+    pub dur: f64,
+    /// Process track id.
+    pub pid: u64,
+    /// Thread track id.
+    pub tid: u64,
+}
+
+/// The trace events recorded so far, in recording order, borrowed from
+/// the [`Recorder`].
+#[derive(Debug, Clone, Copy)]
+pub struct Events<'a> {
+    events: &'a [Event],
+    symbols: &'a Symbols,
+}
+
+impl<'a> Events<'a> {
+    /// How many events are buffered.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether no event is buffered.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Every event, in recording order.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = EventView<'a>> + ExactSizeIterator + 'a {
+        let symbols = self.symbols;
+        self.events.iter().map(move |e| EventView {
+            name: symbols.resolve(e.name),
+            cat: symbols.resolve(e.cat),
+            ph: e.ph.code(),
+            ts: e.ts,
+            dur: e.dur,
+            pid: e.pid,
+            tid: e.tid,
+        })
+    }
+}
+
+/// Apply `f` to `map[name]`, inserting `T::default()` first if missing:
+/// only a new name allocates.
+fn update<T: Default>(map: &mut BTreeMap<String, T>, name: &str, f: impl FnOnce(&mut T)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// Sim-time telemetry sink: counters, gauges, histograms, and Chrome
 /// trace events. See the crate docs for the determinism and disabled
 /// no-op contracts.
@@ -70,11 +217,12 @@ pub struct Recorder {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     series: BTreeMap<String, Series>,
-    events: Vec<TraceEvent>,
+    events: Vec<Event>,
+    symbols: Symbols,
     /// Process label → pid, in registration order.
     pids: BTreeMap<String, u64>,
     /// (pid, thread label) → tid, in registration order per pid.
-    tids: BTreeMap<(u64, String), u64>,
+    tids: BTreeMap<(u64, Sym), u64>,
     next_pid: u64,
     next_tid: BTreeMap<u64, u64>,
     max_events: usize,
@@ -106,6 +254,7 @@ impl Recorder {
             histograms: BTreeMap::new(),
             series: BTreeMap::new(),
             events: Vec::new(),
+            symbols: Symbols::default(),
             pids: BTreeMap::new(),
             tids: BTreeMap::new(),
             next_pid: 1,
@@ -128,16 +277,32 @@ impl Recorder {
         self.dropped_events
     }
 
-    /// Buffer `event`, or drop it (and account for the drop) at the cap.
-    /// Metric maps (counters/gauges/histograms/series) are never capped —
-    /// they are bounded by label cardinality, not run length.
-    fn push_event(&mut self, event: TraceEvent) {
+    /// Buffer the event `make` builds, or drop it (and account for the
+    /// drop) at the cap; a dropped event interns nothing. Metric maps
+    /// (counters/gauges/histograms/series) are never capped — they are
+    /// bounded by label cardinality, not run length.
+    fn push_event(&mut self, make: impl FnOnce(&mut Symbols) -> Event) {
         if self.events.len() >= self.max_events {
             self.dropped_events += 1;
-            *self.counters.entry(DROPPED_EVENTS_COUNTER.to_string()).or_insert(0) += 1;
+            update(&mut self.counters, DROPPED_EVENTS_COUNTER, |c| *c += 1);
             return;
         }
+        let event = make(&mut self.symbols);
         self.events.push(event);
+    }
+
+    /// Buffer a `process_name`/`thread_name` metadata event naming a track.
+    fn push_meta(&mut self, kind: &str, label: &str, pid: u64, tid: u64) {
+        self.push_event(|s| Event {
+            name: s.intern(kind),
+            cat: s.intern("__metadata"),
+            ph: Phase::Meta,
+            arg: Arg::Name(s.intern(label)),
+            ts: 0.0,
+            dur: 0.0,
+            pid,
+            tid,
+        });
     }
 
     /// Whether this recorder records anything. Instrumentation sites
@@ -161,7 +326,7 @@ impl Recorder {
         let pid = self.next_pid;
         self.next_pid += 1;
         self.pids.insert(label.to_string(), pid);
-        self.push_event(meta_event("process_name", label, pid, 0));
+        self.push_meta("process_name", label, pid, 0);
         pid
     }
 
@@ -172,15 +337,16 @@ impl Recorder {
         if !self.enabled {
             return 0;
         }
-        let key = (pid, label.to_string());
-        if let Some(&tid) = self.tids.get(&key) {
+        let known = self.symbols.get(label).and_then(|sym| self.tids.get(&(pid, sym)));
+        if let Some(&tid) = known {
             return tid;
         }
         let next = self.next_tid.entry(pid).or_insert(1);
         let tid = *next;
         *next += 1;
-        self.tids.insert(key, tid);
-        self.push_event(meta_event("thread_name", label, pid, tid));
+        let sym = self.symbols.intern(label);
+        self.tids.insert((pid, sym), tid);
+        self.push_meta("thread_name", label, pid, tid);
         tid
     }
 
@@ -190,15 +356,15 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.push_event(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ph: "X".to_string(),
+        self.push_event(|s| Event {
+            name: s.intern(name),
+            cat: s.intern(cat),
+            ph: Phase::Span,
+            arg: Arg::None,
             ts: start_us,
             dur: (end_us - start_us).max(0.0),
             pid,
             tid,
-            args: BTreeMap::new(),
         });
     }
 
@@ -207,15 +373,15 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.push_event(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ph: "i".to_string(),
+        self.push_event(|s| Event {
+            name: s.intern(name),
+            cat: s.intern(cat),
+            ph: Phase::Mark,
+            arg: Arg::None,
             ts: ts_us,
             dur: 0.0,
             pid,
             tid,
-            args: BTreeMap::new(),
         });
     }
 
@@ -225,17 +391,15 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        let mut args = BTreeMap::new();
-        args.insert("value".to_string(), serde_json::Value::Float(value));
-        self.push_event(TraceEvent {
-            name: name.to_string(),
-            cat: "counter".to_string(),
-            ph: "C".to_string(),
+        self.push_event(|s| Event {
+            name: s.intern(name),
+            cat: s.intern("counter"),
+            ph: Phase::Counter,
+            arg: Arg::Value(value),
             ts: ts_us,
             dur: 0.0,
             pid,
             tid: 0,
-            args,
         });
     }
 
@@ -244,7 +408,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.counters, name, |c| *c += delta);
     }
 
     /// Set the gauge `name` (last write wins).
@@ -252,7 +416,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.gauges.insert(name.to_string(), value);
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Record `value` into the histogram `name`.
@@ -260,7 +424,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.histograms.entry(name.to_string()).or_default().observe(value);
+        update(&mut self.histograms, name, |h| h.observe(value));
     }
 
     /// Record a `(sim-time, value)` sample into the bounded time series
@@ -271,7 +435,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.series.entry(name.to_string()).or_default().record(ts_ms, value);
+        update(&mut self.series, name, |s| s.record(ts_ms, value));
     }
 
     /// All recorded time series, keyed by name (empty when disabled).
@@ -306,10 +470,10 @@ impl Recorder {
         self.histograms.get(name)
     }
 
-    /// Trace events recorded so far.
+    /// Trace events recorded so far, read in place.
     #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    pub fn events(&self) -> Events<'_> {
+        Events { events: &self.events, symbols: &self.symbols }
     }
 
     /// Summarize every labeled metric.
@@ -338,25 +502,31 @@ impl Recorder {
         MetricsSnapshot { counters: self.counters.clone(), gauges: self.gauges.clone(), histograms }
     }
 
-    /// Export everything recorded as a Chrome trace document.
+    /// Export everything recorded as a Chrome trace document: the one
+    /// place the buffered events become owned [`TraceEvent`]s.
     #[must_use]
     pub fn export_trace(&self) -> ChromeTrace {
-        ChromeTrace { traceEvents: self.events.clone(), displayTimeUnit: "ms".to_string() }
-    }
-}
-
-fn meta_event(kind: &str, label: &str, pid: u64, tid: u64) -> TraceEvent {
-    let mut args = BTreeMap::new();
-    args.insert("name".to_string(), serde_json::Value::Str(label.to_string()));
-    TraceEvent {
-        name: kind.to_string(),
-        cat: "__metadata".to_string(),
-        ph: "M".to_string(),
-        ts: 0.0,
-        dur: 0.0,
-        pid,
-        tid,
-        args,
+        let name = |sym| self.symbols.resolve(sym).to_string();
+        let events = self.events.iter().map(|e| {
+            let args = match e.arg {
+                Arg::None => BTreeMap::new(),
+                Arg::Value(v) => BTreeMap::from([("value".into(), serde_json::Value::Float(v))]),
+                Arg::Name(sym) => {
+                    BTreeMap::from([("name".into(), serde_json::Value::Str(name(sym)))])
+                }
+            };
+            TraceEvent {
+                name: name(e.name),
+                cat: name(e.cat),
+                ph: e.ph.code().to_string(),
+                ts: e.ts,
+                dur: e.dur,
+                pid: e.pid,
+                tid: e.tid,
+                args,
+            }
+        });
+        ChromeTrace { traceEvents: events.collect(), displayTimeUnit: "ms".to_string() }
     }
 }
 
@@ -434,10 +604,15 @@ mod tests {
     }
 
     #[test]
+    fn buffered_events_stay_compact() {
+        assert!(std::mem::size_of::<Event>() <= 64);
+    }
+
+    #[test]
     fn negative_span_extent_clamps_to_zero_duration() {
         let mut rec = Recorder::new();
         rec.span(1, 1, "c", "s", 5.0, 3.0);
-        assert_eq!(rec.events()[0].dur, 0.0);
+        assert_eq!(rec.events().iter().next().map(|e| e.dur), Some(0.0));
     }
 
     #[test]

@@ -6,8 +6,15 @@
 //! directly. Timestamps (`ts`) and durations (`dur`) are microseconds of
 //! **simulation time**; `pid`/`tid` are synthetic track ids named via
 //! `"M"` (metadata) events.
+//!
+//! [`ChromeTrace::write_json`] is the one writer: it streams the
+//! document field by field into any `io::Write`, with the bytes the
+//! derived `Serialize` renders through `serde_json`, but without
+//! building a `serde_json::Value` tree first.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io;
 
 use serde::{Deserialize, Serialize};
 
@@ -49,12 +56,84 @@ pub struct ChromeTrace {
 }
 
 impl ChromeTrace {
-    /// Serialize to a compact JSON string (traces get large). A
-    /// serialization failure (a bug in the vendored serde stand-ins)
-    /// degrades to `null` rather than panicking mid-run.
+    /// Stream the document as compact JSON into `out`: fields in
+    /// declaration order (`name, cat, ph, ts, dur, pid, tid, args`, then
+    /// `displayTimeUnit`), numbers and escapes by `serde_json`'s rules,
+    /// so the bytes are exactly `serde_json::to_string(self)`'s.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    pub fn write_json(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut w = IoFmt { out, error: None };
+        self.write_fields(&mut w).map_err(|fmt::Error| {
+            w.error.take().unwrap_or_else(|| io::Error::other("trace formatting failed"))
+        })
+    }
+
+    fn write_fields(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        use serde_json::{write_compact, write_string, Value};
+        w.write_str("{\"traceEvents\":[")?;
+        for (i, e) in self.traceEvents.iter().enumerate() {
+            if i > 0 {
+                w.write_char(',')?;
+            }
+            w.write_str("{\"name\":")?;
+            write_string(w, &e.name)?;
+            w.write_str(",\"cat\":")?;
+            write_string(w, &e.cat)?;
+            w.write_str(",\"ph\":")?;
+            write_string(w, &e.ph)?;
+            w.write_str(",\"ts\":")?;
+            write_compact(w, &Value::Float(e.ts))?;
+            w.write_str(",\"dur\":")?;
+            write_compact(w, &Value::Float(e.dur))?;
+            w.write_str(",\"pid\":")?;
+            write_compact(w, &Value::UInt(e.pid))?;
+            w.write_str(",\"tid\":")?;
+            write_compact(w, &Value::UInt(e.tid))?;
+            w.write_str(",\"args\":{")?;
+            for (j, (key, value)) in e.args.iter().enumerate() {
+                if j > 0 {
+                    w.write_char(',')?;
+                }
+                write_string(w, key)?;
+                w.write_char(':')?;
+                write_compact(w, value)?;
+            }
+            w.write_str("}}")?;
+        }
+        w.write_str("],\"displayTimeUnit\":")?;
+        write_string(w, &self.displayTimeUnit)?;
+        w.write_char('}')
+    }
+
+    /// [`ChromeTrace::write_json`] into a string. A failure (which an
+    /// in-memory buffer never returns) degrades to `null` rather than
+    /// panicking mid-run.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_else(|_| String::from("null"))
+        // About 130 bytes per event in the workspace's traces.
+        let mut buf = Vec::with_capacity(64 + 136 * self.traceEvents.len());
+        match self.write_json(&mut buf) {
+            Ok(()) => String::from_utf8(buf).unwrap_or_else(|_| String::from("null")),
+            Err(_) => String::from("null"),
+        }
+    }
+}
+
+/// `fmt::Write` over an `io::Write`, keeping the error `fmt` discards.
+struct IoFmt<'a, W> {
+    out: &'a mut W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoFmt<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
     }
 }
 
@@ -74,8 +153,11 @@ pub struct TraceStats {
 }
 
 /// Parse `json` as a Chrome trace-event document and sanity-check every
-/// event (string `name`/`ph`, numeric `ts`/`pid`/`tid`). Used by the CI
-/// smoke test (`dsv3 check-trace`).
+/// event: string `name`/`ph` and numeric `ts`/`pid`/`tid`, plus what
+/// each phase needs — a numeric `dur` on a span (`"X"`), a numeric
+/// `args.value` on a counter sample (`"C"`) and a string `args.name` on
+/// a metadata event (`"M"`). Used by the CI smoke test
+/// (`dsv3 check-trace`).
 ///
 /// # Errors
 ///
@@ -110,7 +192,21 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
                 return Err(format!("event {i}: missing numeric \"{key}\""));
             }
         }
+        let arg = |name: &str| {
+            get("args")
+                .and_then(serde_json::Value::as_object)
+                .and_then(|args| args.iter().find(|(k, _)| k == name).map(|(_, v)| v))
+        };
         match ph.as_str() {
+            "X" if get("dur").and_then(serde_json::Value::as_f64).is_none() => {
+                return Err(format!("event {i}: span without numeric \"dur\""));
+            }
+            "C" if arg("value").and_then(serde_json::Value::as_f64).is_none() => {
+                return Err(format!("event {i}: counter without numeric \"args.value\""));
+            }
+            "M" if !matches!(arg("name"), Some(serde_json::Value::Str(_))) => {
+                return Err(format!("event {i}: metadata without string \"args.name\""));
+            }
             "X" => stats.spans += 1,
             "i" => stats.instants += 1,
             "C" => stats.counters += 1,
@@ -126,6 +222,11 @@ mod tests {
     use super::*;
 
     fn event(ph: &str) -> TraceEvent {
+        let arg = match ph {
+            "C" => Some(("value", serde_json::Value::Float(0.5))),
+            "M" => Some(("name", serde_json::Value::Str("track".into()))),
+            _ => None,
+        };
         TraceEvent {
             name: "e".into(),
             cat: "test".into(),
@@ -134,21 +235,67 @@ mod tests {
             dur: if ph == "X" { 2.0 } else { 0.0 },
             pid: 1,
             tid: 2,
-            args: BTreeMap::new(),
+            args: arg.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
+    }
+
+    fn doc(events: Vec<TraceEvent>) -> ChromeTrace {
+        ChromeTrace { traceEvents: events, displayTimeUnit: "ms".into() }
     }
 
     #[test]
     fn export_validates() {
-        let trace = ChromeTrace {
-            traceEvents: vec![event("X"), event("i"), event("C"), event("M")],
-            displayTimeUnit: "ms".into(),
-        };
+        let trace = doc(vec![event("X"), event("i"), event("C"), event("M")]);
         let stats = validate_chrome_trace(&trace.to_json()).expect("valid");
         assert_eq!(
             stats,
             TraceStats { events: 4, spans: 1, instants: 1, counters: 1, metadata: 1 }
         );
+    }
+
+    #[test]
+    fn write_errors_surface() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = doc(vec![event("i")]).write_json(&mut Full).expect_err("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+    }
+
+    fn rejected(e: TraceEvent, why: &str) {
+        let err = validate_chrome_trace(&doc(vec![e]).to_json()).expect_err("must be rejected");
+        assert!(err.contains(why), "{err}");
+    }
+
+    #[test]
+    fn span_needs_numeric_dur() {
+        let mut e = event("X");
+        e.dur = f64::NAN; // written as `null`
+        rejected(e, "\"dur\"");
+    }
+
+    #[test]
+    fn counter_needs_numeric_value() {
+        let mut e = event("C");
+        e.args.insert("value".into(), serde_json::Value::Str("7".into()));
+        rejected(e.clone(), "\"args.value\"");
+        e.args.clear();
+        rejected(e, "\"args.value\"");
+    }
+
+    #[test]
+    fn metadata_needs_string_name() {
+        let mut e = event("M");
+        e.args.insert("name".into(), serde_json::Value::UInt(3));
+        rejected(e.clone(), "\"args.name\"");
+        e.args.clear();
+        rejected(e, "\"args.name\"");
     }
 
     #[test]

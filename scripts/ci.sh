@@ -43,9 +43,12 @@ for name in serving fault-drill net-chaos mem-timeline overload resilience; do
   ./target/release/dsv3 check-metrics "$smoke_dir/$name.metrics.json"
 done
 
-echo "==> audit smoke: dsv3 audit overload fires the watchdog deterministically"
-./target/release/dsv3 audit overload --incidents-out "$smoke_dir/incidents.json" > /dev/null
+echo "==> audit smoke: dsv3 audit overload fires the watchdog deterministically, and its trace is the plain run's"
+./target/release/dsv3 audit overload --incidents-out "$smoke_dir/incidents.json" \
+  --trace-out "$smoke_dir/audit.trace.json" > /dev/null
 grep -q '"detector": "metastability"' "$smoke_dir/incidents.json"
+./target/release/dsv3 check-trace "$smoke_dir/audit.trace.json"
+cmp "$smoke_dir/audit.trace.json" "$smoke_dir/overload.trace.json"
 
 echo "==> closed pipe: dsv3 exits cleanly when its reader goes away"
 ./target/release/dsv3 all | head -n 1 > /dev/null

@@ -10,12 +10,11 @@
 //! `(e.run)(&mut Recorder::disabled())` call the CLI makes; its text and
 //! JSON tests share that run, which also checks the table's shape. The
 //! traceable entries run once more with recording on and must print the
-//! same bytes: the trace is a pure side channel. The engine's side
-//! channels are pinned too: for `serving` and `fault-drill` (crashes,
-//! hedging, plane flaps, SDC), the FNV-1a digests of the Chrome trace
-//! (`--trace-out`), the metrics snapshot (`--metrics-out`) and the
-//! watchdog incident report (`--incidents-out`) of one `dsv3 audit` run
-//! must not change.
+//! same bytes: the trace is a pure side channel. The side channels are
+//! pinned too: for all six traceable entries, the FNV-1a digests of the
+//! Chrome trace (`--trace-out`), the metrics snapshot (`--metrics-out`)
+//! and the watchdog incident report (`--incidents-out`) of one
+//! `dsv3 audit` run must not change.
 
 use dsv3_core::registry::{registry, Entry, InstrumentedRun};
 use dsv3_core::telemetry::{Recorder, WatchConfig};
@@ -176,6 +175,10 @@ fn audited_side_channels_match_golden_digests() {
     for (name, trace, snapshot, incidents) in [
         ("serving", 0xb7f0_1170_f333_b306, 0x6e99_74e2_8eeb_3cb4, 0x3d83_fe22_fc94_52a6),
         ("fault-drill", 0x3160_f447_e3f2_82a9, 0xbc54_4fb9_84c4_35be, 0xa708_405b_82bd_21cb),
+        ("resilience", 0x43cf_c892_3285_705b, 0x4820_88b3_5aeb_022d, 0xa9ac_69a3_ad40_7aa6),
+        ("net-chaos", 0x4b73_81c1_169f_eff1, 0xc2e0_e0de_324c_f1af, 0xa0d9_f736_ca97_73ee),
+        ("mem-timeline", 0x116c_3d4e_63bc_5105, 0x42f8_126d_68ea_1d2d, 0x232d_e8d9_f562_288d),
+        ("overload", 0x4091_bbc7_6a94_23d6, 0x695d_e610_7b82_c963, 0x3c1b_64bd_0626_9f60),
     ] {
         let mut rec = Recorder::new();
         let w = entry(name).run_watched(&mut rec, &WatchConfig::default()).expect("traceable");
