@@ -60,7 +60,8 @@ pub struct EpTraffic {
 /// # Panics
 ///
 /// Panics if `top_k < max_nodes` would leave a chosen node without experts
-/// (we require `top_k ≥ max_nodes`) or the config is degenerate.
+/// (we require `top_k ≥ max_nodes`), the config is degenerate, or a node
+/// has more than 64 GPUs (the per-token GPU set is a `u64` mask).
 #[must_use]
 // Indices are semantic node/GPU ids shared across several nested matrices;
 // iterator rewrites obscure which matrix each id addresses.
@@ -70,66 +71,60 @@ pub fn generate_traffic(cluster: &Cluster, cfg: &EpConfig) -> EpTraffic {
     let locals = cluster.cfg.gpus_per_node;
     assert!(cfg.top_k >= cfg.max_nodes, "top_k must cover max_nodes");
     assert!(cfg.tokens_per_gpu > 0 && cfg.hidden > 0, "degenerate workload");
+    assert!(locals <= 64, "at most 64 GPUs per node, got {locals}");
     let m = cfg.max_nodes.min(nodes);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ib = vec![vec![0u64; nodes]; nodes];
     let mut nvl = vec![vec![vec![0u64; locals]; locals]; nodes];
-    let mut assignments = 0u64;
-    let mut nodes_touched_total = 0u64;
     let all_nodes: Vec<usize> = (0..nodes).collect();
+    let mut order = all_nodes.clone();
+    let mut experts_on = vec![0u64; m];
     for src_node in 0..nodes {
         for src_local in 0..locals {
             for _ in 0..cfg.tokens_per_gpu {
                 // Node-limited target set.
-                let mut targets = all_nodes.clone();
-                targets.shuffle(&mut rng);
-                targets.truncate(m);
-                nodes_touched_total += targets.len() as u64;
+                order.copy_from_slice(&all_nodes);
+                order.shuffle(&mut rng);
+                let targets = &order[..m];
                 // Spread top_k experts: one guaranteed per target node, the
                 // rest uniform over targets.
-                let mut expert_nodes: Vec<usize> = targets.clone();
-                while expert_nodes.len() < cfg.top_k {
-                    expert_nodes.push(targets[rng.gen_range(0..targets.len())]);
+                experts_on.fill(1);
+                for _ in m..cfg.top_k {
+                    experts_on[rng.gen_range(0..m)] += 1;
                 }
                 // Per distinct destination node: one IB copy (dedup), then
-                // NVLink fan-out to each expert GPU.
-                for &t in &targets {
-                    let landing_local = src_local; // same-plane RDMA landing
+                // NVLink fan-out from the same-plane landing GPU (the source
+                // GPU itself for a local target) to each expert GPU.
+                for (&t, &k) in targets.iter().zip(&experts_on) {
                     if t != src_node {
                         ib[src_node][t] += 1;
                     }
                     // The token is copied once per *distinct* expert GPU on
                     // this node (two experts on one GPU share the copy).
-                    let mut local_mask = 0u64;
-                    for &en in &expert_nodes {
-                        if en == t {
-                            assignments += 1;
-                            let expert_local = rng.gen_range(0..locals);
-                            local_mask |= 1 << expert_local;
-                        }
+                    let mut mask = 0u64;
+                    for _ in 0..k {
+                        mask |= 1 << rng.gen_range(0..locals);
                     }
-                    for expert_local in 0..locals {
-                        if local_mask & (1 << expert_local) != 0 {
-                            if t == src_node {
-                                // Local delivery straight over NVLink.
-                                if expert_local != src_local {
-                                    nvl[t][src_local][expert_local] += 1;
-                                }
-                            } else if expert_local != landing_local {
-                                nvl[t][landing_local][expert_local] += 1;
-                            }
-                        }
-                    }
+                    fan_out(&mut nvl[t][src_local], mask, src_local);
                 }
             }
         }
     }
-    let tokens = (nodes * locals * cfg.tokens_per_gpu) as f64;
+    // Every token touches exactly `m` nodes and places all `top_k` experts.
     EpTraffic {
         ib_copies: ib,
         nvl_copies: nvl,
-        assignments,
-        mean_nodes_touched: nodes_touched_total as f64 / tokens,
+        assignments: (nodes * locals * cfg.tokens_per_gpu * cfg.top_k) as u64,
+        mean_nodes_touched: m as f64,
+    }
+}
+
+/// Count one NVLink copy from `src_local` to every other GPU in `mask`.
+fn fan_out(row: &mut [u64], mut mask: u64, src_local: usize) {
+    mask &= !(1 << src_local);
+    while mask != 0 {
+        row[mask.trailing_zeros() as usize] += 1;
+        mask &= mask - 1;
     }
 }
 
@@ -140,13 +135,13 @@ pub fn generate_traffic(cluster: &Cluster, cfg: &EpConfig) -> EpTraffic {
 ///
 /// # Panics
 ///
-/// Panics if a destination is out of range.
+/// Panics if a destination is out of range or a node has more than 64 GPUs.
 #[must_use]
-#[allow(clippy::needless_range_loop)] // same id-addressing pattern as generate_traffic
 pub fn traffic_from_routings(cluster: &Cluster, tokens: &[Vec<Vec<(usize, usize)>>]) -> EpTraffic {
     let nodes = cluster.cfg.nodes;
     let locals = cluster.cfg.gpus_per_node;
     assert_eq!(tokens.len(), cluster.cfg.gpus(), "one token list per GPU");
+    assert!(locals <= 64, "at most 64 GPUs per node, got {locals}");
     let mut ib = vec![vec![0u64; nodes]; nodes];
     let mut nvl = vec![vec![vec![0u64; locals]; locals]; nodes];
     let mut assignments = 0u64;
@@ -166,7 +161,6 @@ pub fn traffic_from_routings(cluster: &Cluster, tokens: &[Vec<Vec<(usize, usize)
                 if t != src_node {
                     ib[src_node][t] += 1;
                 }
-                let landing_local = src_local;
                 let mut mask = 0u64;
                 for &(n, l) in dests {
                     assert!(l < locals, "local gpu {l} out of range");
@@ -175,17 +169,7 @@ pub fn traffic_from_routings(cluster: &Cluster, tokens: &[Vec<Vec<(usize, usize)
                         mask |= 1 << l;
                     }
                 }
-                for l in 0..locals {
-                    if mask & (1 << l) != 0 {
-                        if t == src_node {
-                            if l != src_local {
-                                nvl[t][src_local][l] += 1;
-                            }
-                        } else if l != landing_local {
-                            nvl[t][landing_local][l] += 1;
-                        }
-                    }
-                }
+                fan_out(&mut nvl[t][src_local], mask, src_local);
             }
         }
     }
@@ -298,6 +282,114 @@ mod tests {
 
     fn small_cfg() -> EpConfig {
         EpConfig { tokens_per_gpu: 256, ..EpConfig::deepseek_v3() }
+    }
+
+    /// The generator before its branch-light rewrite: two `Vec` clones per
+    /// token, then a scan of every expert node and every local GPU per
+    /// target.
+    #[allow(clippy::needless_range_loop)]
+    fn generate_traffic_by_scan(cluster: &Cluster, cfg: &EpConfig) -> EpTraffic {
+        let nodes = cluster.cfg.nodes;
+        let locals = cluster.cfg.gpus_per_node;
+        let m = cfg.max_nodes.min(nodes);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut ib = vec![vec![0u64; nodes]; nodes];
+        let mut nvl = vec![vec![vec![0u64; locals]; locals]; nodes];
+        let mut assignments = 0u64;
+        let mut nodes_touched_total = 0u64;
+        let all_nodes: Vec<usize> = (0..nodes).collect();
+        for src_node in 0..nodes {
+            for src_local in 0..locals {
+                for _ in 0..cfg.tokens_per_gpu {
+                    let mut targets = all_nodes.clone();
+                    targets.shuffle(&mut rng);
+                    targets.truncate(m);
+                    nodes_touched_total += targets.len() as u64;
+                    let mut expert_nodes: Vec<usize> = targets.clone();
+                    while expert_nodes.len() < cfg.top_k {
+                        expert_nodes.push(targets[rng.gen_range(0..targets.len())]);
+                    }
+                    for &t in &targets {
+                        let landing_local = src_local;
+                        if t != src_node {
+                            ib[src_node][t] += 1;
+                        }
+                        let mut local_mask = 0u64;
+                        for &en in &expert_nodes {
+                            if en == t {
+                                assignments += 1;
+                                let expert_local = rng.gen_range(0..locals);
+                                local_mask |= 1 << expert_local;
+                            }
+                        }
+                        for expert_local in 0..locals {
+                            if local_mask & (1 << expert_local) != 0 {
+                                if t == src_node {
+                                    if expert_local != src_local {
+                                        nvl[t][src_local][expert_local] += 1;
+                                    }
+                                } else if expert_local != landing_local {
+                                    nvl[t][landing_local][expert_local] += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let tokens = (nodes * locals * cfg.tokens_per_gpu) as f64;
+        EpTraffic {
+            ib_copies: ib,
+            nvl_copies: nvl,
+            assignments,
+            mean_nodes_touched: nodes_touched_total as f64 / tokens,
+        }
+    }
+
+    fn shaped(nodes: usize, gpus_per_node: usize) -> Cluster {
+        Cluster::new(ClusterConfig {
+            gpus_per_node,
+            ..ClusterConfig::h800(nodes, FabricKind::MultiPlane)
+        })
+    }
+
+    #[test]
+    fn generate_traffic_matches_scan_oracle() {
+        for nodes in 1..=17 {
+            for gpus_per_node in [1, 3, 8] {
+                let c = shaped(nodes, gpus_per_node);
+                for max_nodes in 1..=4 {
+                    for top_k in [max_nodes, 8, 13] {
+                        for seed in [0, 7, 8 + nodes as u64] {
+                            let cfg =
+                                EpConfig { tokens_per_gpu: 5, top_k, max_nodes, seed, hidden: 1 };
+                            let fast = generate_traffic(&c, &cfg);
+                            let slow = generate_traffic_by_scan(&c, &cfg);
+                            let at = format!("{nodes} nodes x {gpus_per_node}, {cfg:?}");
+                            assert_eq!(fast, slow, "{at}");
+                            assert_eq!(
+                                fast.mean_nodes_touched.to_bits(),
+                                slow.mean_nodes_touched.to_bits(),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 GPUs per node")]
+    fn generate_traffic_rejects_wide_nodes() {
+        let _ = generate_traffic(&shaped(1, 65), &small_cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 GPUs per node")]
+    fn traffic_from_routings_rejects_wide_nodes() {
+        let c = shaped(1, 65);
+        let _ = traffic_from_routings(&c, &vec![Vec::new(); c.cfg.gpus()]);
     }
 
     #[test]

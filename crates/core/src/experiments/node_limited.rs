@@ -1,7 +1,7 @@
 //! §4.3: node-limited routing — IB traffic scales with M, not top-k.
 
 use crate::report::{fmt, Table};
-use dsv3_model::moe::{route, routing_stats, MoeGateConfig};
+use dsv3_model::moe::{route, MoeGateConfig, RoutingTally};
 use dsv3_numerics::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -20,25 +20,30 @@ pub struct Row {
 }
 
 /// Sweep the node limit on the V3 gate shape (256 experts / 8 groups /
-/// top-8) with random sigmoid affinities.
+/// top-8) with random sigmoid affinities. Each token's scores are drawn
+/// once and routed under every limit.
 #[must_use]
 pub fn run(tokens: usize) -> Vec<Row> {
-    (1..=8usize)
-        .map(|m| {
-            let cfg = MoeGateConfig { experts: 256, groups: 8, top_groups: m, top_k: 8 };
-            let routings: Vec<_> = (0..tokens)
-                .map(|i| {
-                    let scores: Vec<f32> = Matrix::random(1, 256, 1.0, 5000 + i as u64)
-                        .data
-                        .iter()
-                        .map(|v| 1.0 / (1.0 + (-v).exp()))
-                        .collect();
-                    route(&scores, None, &cfg)
-                })
-                .collect();
-            let st = routing_stats(&routings, &cfg);
+    let cfgs: Vec<MoeGateConfig> = (1..=8usize)
+        .map(|m| MoeGateConfig { experts: 256, groups: 8, top_groups: m, top_k: 8 })
+        .collect();
+    let mut tallies: Vec<RoutingTally> = cfgs.iter().map(RoutingTally::new).collect();
+    for i in 0..tokens {
+        let scores: Vec<f32> = Matrix::random(1, 256, 1.0, 5000 + i as u64)
+            .data
+            .iter()
+            .map(|v| 1.0 / (1.0 + (-v).exp()))
+            .collect();
+        for (cfg, tally) in cfgs.iter().zip(&mut tallies) {
+            tally.add(&route(&scores, None, cfg));
+        }
+    }
+    cfgs.iter()
+        .zip(&tallies)
+        .map(|(cfg, tally)| {
+            let st = tally.stats();
             Row {
-                max_nodes: m,
+                max_nodes: cfg.top_groups,
                 mean_nodes_touched: st.mean_nodes_touched,
                 // Dedup sends one copy per touched node; without dedup each
                 // of the top-8 experts costs one copy.

@@ -126,10 +126,17 @@ pub fn route(scores: &[f32], bias: Option<&[f32]>, cfg: &MoeGateConfig) -> Routi
     group_scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     let allowed: Vec<usize> = group_scores[..cfg.top_groups].iter().map(|(g, _)| *g).collect();
 
-    // Top-k experts within the allowed groups.
-    let mut candidates: Vec<usize> = allowed.iter().flat_map(|g| g * epg..(g + 1) * epg).collect();
-    candidates.sort_by(|a, b| biased(*b).total_cmp(&biased(*a)).then(a.cmp(b)));
-    let experts: Vec<usize> = candidates[..cfg.top_k].to_vec();
+    // Top-k experts within the allowed groups, best first: biased affinity
+    // descending (`total_cmp`), ties to the lower index. The order is strict
+    // and total, so selecting the best `top_k` and sorting only those equals
+    // a full sort of every candidate truncated to `top_k`.
+    let cmp = |a: &(f32, usize), b: &(f32, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    let mut top: Vec<(f32, usize)> =
+        allowed.iter().flat_map(|g| g * epg..(g + 1) * epg).map(|e| (biased(e), e)).collect();
+    top.select_nth_unstable_by(cfg.top_k - 1, cmp);
+    top.truncate(cfg.top_k);
+    top.sort_unstable_by(cmp);
+    let experts: Vec<usize> = top.iter().map(|&(_, e)| e).collect();
 
     // Gate weights: *unbiased* affinities of the selected experts, normalized.
     let raw: Vec<f32> = experts.iter().map(|&e| scores[e]).collect();
@@ -223,6 +230,67 @@ pub struct RoutingStats {
     pub load_imbalance: f64,
 }
 
+/// Streaming accumulator behind [`RoutingStats`]: feed routings one at a
+/// time, so a caller never has to keep a batch of them alive.
+#[derive(Debug, Clone)]
+pub struct RoutingTally {
+    cfg: MoeGateConfig,
+    tokens: usize,
+    expert_loads: Vec<usize>,
+    hist: Vec<usize>,
+    total_nodes: usize,
+}
+
+impl RoutingTally {
+    /// An empty tally for routings made under `cfg`.
+    #[must_use]
+    pub fn new(cfg: &MoeGateConfig) -> Self {
+        Self {
+            cfg: *cfg,
+            tokens: 0,
+            expert_loads: vec![0; cfg.experts],
+            hist: vec![0; cfg.groups + 1],
+            total_nodes: 0,
+        }
+    }
+
+    /// Count one routed token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the routing names an expert or touches more groups than
+    /// the tally's config has.
+    pub fn add(&mut self, r: &Routing) {
+        for &e in &r.experts {
+            self.expert_loads[e] += 1;
+        }
+        let m = r.nodes_touched();
+        self.hist[m] += 1;
+        self.total_nodes += m;
+        self.tokens += 1;
+    }
+
+    /// Statistics over every token added so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no token has been added.
+    #[must_use]
+    pub fn stats(&self) -> RoutingStats {
+        assert!(self.tokens > 0, "need at least one routed token");
+        let tokens = self.tokens;
+        let ideal = (tokens * self.cfg.top_k) as f64 / self.cfg.experts as f64;
+        let max_load = self.expert_loads.iter().copied().max().unwrap_or(0) as f64;
+        RoutingStats {
+            tokens,
+            expert_loads: self.expert_loads.clone(),
+            nodes_touched_hist: self.hist.clone(),
+            mean_nodes_touched: self.total_nodes as f64 / tokens as f64,
+            load_imbalance: if ideal > 0.0 { max_load / ideal } else { 0.0 },
+        }
+    }
+}
+
 /// Compute [`RoutingStats`] for a set of per-token routings.
 ///
 /// # Panics
@@ -230,36 +298,169 @@ pub struct RoutingStats {
 /// Panics if `routings` is empty.
 #[must_use]
 pub fn routing_stats(routings: &[Routing], cfg: &MoeGateConfig) -> RoutingStats {
-    assert!(!routings.is_empty(), "need at least one routed token");
-    let mut expert_loads = vec![0usize; cfg.experts];
-    let mut hist = vec![0usize; cfg.groups + 1];
-    let mut total_nodes = 0usize;
+    let mut tally = RoutingTally::new(cfg);
     for r in routings {
-        for &e in &r.experts {
-            expert_loads[e] += 1;
-        }
-        let m = r.nodes_touched();
-        hist[m] += 1;
-        total_nodes += m;
+        tally.add(r);
     }
-    let tokens = routings.len();
-    let ideal = (tokens * cfg.top_k) as f64 / cfg.experts as f64;
-    let max_load = expert_loads.iter().copied().max().unwrap_or(0) as f64;
-    RoutingStats {
-        tokens,
-        expert_loads,
-        nodes_touched_hist: hist,
-        mean_nodes_touched: total_nodes as f64 / tokens as f64,
-        load_imbalance: if ideal > 0.0 { max_load / ideal } else { 0.0 },
-    }
+    tally.stats()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn scores_from_seed(n: usize, seed: u64) -> Vec<f32> {
         Matrix::random(1, n, 1.0, seed).data.iter().map(|v| 1.0 / (1.0 + (-v).exp())).collect()
+    }
+
+    /// The gate before its select-then-sort top-k: every allowed expert is
+    /// collected and fully sorted, then truncated to `top_k`.
+    fn route_by_full_sort(scores: &[f32], bias: Option<&[f32]>, cfg: &MoeGateConfig) -> Routing {
+        let epg = cfg.experts_per_group();
+        let biased = |e: usize| scores[e] + bias.map_or(0.0, |b| b[e]);
+        let mut group_scores: Vec<(usize, f32)> = (0..cfg.groups)
+            .map(|g| {
+                let (mut best, mut second) = (f32::NEG_INFINITY, f32::NEG_INFINITY);
+                for e in g * epg..(g + 1) * epg {
+                    let s = biased(e);
+                    if s > best {
+                        second = best;
+                        best = s;
+                    } else if s > second {
+                        second = s;
+                    }
+                }
+                (g, best + if epg > 1 { second } else { 0.0 })
+            })
+            .collect();
+        group_scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let allowed: Vec<usize> = group_scores[..cfg.top_groups].iter().map(|(g, _)| *g).collect();
+        let mut candidates: Vec<usize> =
+            allowed.iter().flat_map(|g| g * epg..(g + 1) * epg).collect();
+        candidates.sort_by(|a, b| biased(*b).total_cmp(&biased(*a)).then(a.cmp(b)));
+        let experts: Vec<usize> = candidates[..cfg.top_k].to_vec();
+        let raw: Vec<f32> = experts.iter().map(|&e| scores[e]).collect();
+        let z: f32 = raw.iter().sum::<f32>().max(1e-20);
+        let weights: Vec<f32> = raw.iter().map(|r| r / z).collect();
+        let mut groups_used: Vec<usize> = experts.iter().map(|e| e / epg).collect();
+        groups_used.sort_unstable();
+        groups_used.dedup();
+        Routing { experts, weights, groups_used }
+    }
+
+    /// Valid gate shapes: 1–8 groups of 1–40 experts (so up to 320 experts,
+    /// with DeepSeek-V3's 8 groups of 32 among them), any group limit, and
+    /// any `top_k` up to every expert of the allowed groups.
+    fn arb_gate() -> impl Strategy<Value = MoeGateConfig> {
+        (1usize..=40, 1usize..=8).prop_flat_map(|(epg, groups)| {
+            (1..=groups).prop_flat_map(move |top_groups| {
+                (1..=top_groups * epg).prop_map(move |top_k| MoeGateConfig {
+                    experts: epg * groups,
+                    groups,
+                    top_groups,
+                    top_k,
+                })
+            })
+        })
+    }
+
+    /// A small value set, so exact ties are common, plus signed zeros and
+    /// NaNs of both signs (which `total_cmp` orders above +∞ / below −∞).
+    const TIE_VALUES: [f32; 8] = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0, f32::NAN, -f32::NAN];
+
+    fn arb_gate_and_scores() -> impl Strategy<Value = (MoeGateConfig, Vec<f32>, Option<Vec<f32>>)> {
+        arb_gate().prop_flat_map(|cfg| {
+            let values = || {
+                prop::collection::vec(0..TIE_VALUES.len(), cfg.experts)
+                    .prop_map(|ix| ix.into_iter().map(|i| TIE_VALUES[i]).collect::<Vec<f32>>())
+            };
+            let bias = (0..2usize, values()).prop_map(|(on, b)| (on == 1).then_some(b));
+            (Just(cfg), values(), bias)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The select-then-sort top-k picks the same experts, in the same order,
+        /// as the full sort it replaced, for every gate shape, under ties,
+        /// signed zeros and NaNs, with and without a bias.
+        #[test]
+        fn route_matches_full_sort_oracle((cfg, scores, bias) in arb_gate_and_scores()) {
+            let fast = route(&scores, bias.as_deref(), &cfg);
+            let slow = route_by_full_sort(&scores, bias.as_deref(), &cfg);
+            prop_assert_eq!(&fast.experts, &slow.experts);
+            prop_assert_eq!(&fast.groups_used, &slow.groups_used);
+            let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            prop_assert_eq!(bits(&fast.weights), bits(&slow.weights));
+        }
+
+        /// Routing always returns distinct experts, respects the node limit,
+        /// and yields weights that sum to one.
+        #[test]
+        fn routing_invariants(cfg in arb_gate(), seed in 0u64..1000) {
+            let r = route(&scores_from_seed(cfg.experts, seed), None, &cfg);
+            prop_assert_eq!(r.experts.len(), cfg.top_k);
+            let mut uniq = r.experts.clone();
+            uniq.sort_unstable();
+            uniq.dedup();
+            prop_assert_eq!(uniq.len(), cfg.top_k, "distinct experts");
+            prop_assert!(r.nodes_touched() <= cfg.top_groups);
+            let wsum: f32 = r.weights.iter().sum();
+            prop_assert!((wsum - 1.0).abs() < 1e-4);
+            // Every selected expert lives in a selected group.
+            let epg = cfg.experts / cfg.groups;
+            for &e in &r.experts {
+                prop_assert!(r.groups_used.contains(&(e / epg)));
+            }
+        }
+    }
+
+    /// The production shape under every node limit §4.3 sweeps, with
+    /// smooth scores and with tie-heavy ones, with and without a bias.
+    #[test]
+    fn route_matches_full_sort_oracle_at_v3_shape() {
+        let ties = |seed: u64| -> Vec<f32> {
+            scores_from_seed(256, seed)
+                .iter()
+                .map(|v| TIE_VALUES[(v.to_bits() as usize) % TIE_VALUES.len()])
+                .collect()
+        };
+        for top_groups in 1..=8 {
+            let cfg = MoeGateConfig { top_groups, ..MoeGateConfig::deepseek_v3() };
+            for seed in 0..100 {
+                let bias = ties(5000 + seed);
+                for scores in [scores_from_seed(256, seed), ties(seed)] {
+                    for b in [None, Some(&bias[..])] {
+                        let fast = route(&scores, b, &cfg);
+                        let slow = route_by_full_sort(&scores, b, &cfg);
+                        assert_eq!(fast.experts, slow.experts);
+                        assert_eq!(fast.groups_used, slow.groups_used);
+                        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                        assert_eq!(bits(&fast.weights), bits(&slow.weights));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tally_fed_one_at_a_time_matches_routing_stats() {
+        let cfg = MoeGateConfig { experts: 64, groups: 8, top_groups: 3, top_k: 6 };
+        let routings: Vec<Routing> =
+            (0..40).map(|i| route(&scores_from_seed(64, 900 + i), None, &cfg)).collect();
+        let mut tally = RoutingTally::new(&cfg);
+        for (i, r) in routings.iter().enumerate() {
+            tally.add(r);
+            assert_eq!(tally.stats(), routing_stats(&routings[..=i], &cfg));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one routed token")]
+    fn empty_tally_has_no_stats() {
+        let _ = RoutingTally::new(&MoeGateConfig::deepseek_v3()).stats();
     }
 
     #[test]

@@ -16,6 +16,11 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> vendored rand: unit tests, including the pinned seed-7 streams every golden rests on"
+# vendor/* is outside the workspace, so the workspace test run skips it;
+# -p runs it as a path dependency, on the root lockfile and target dir.
+cargo test -q --offline -p rand
+
 echo "==> invariant lints: dsv3 lint"
 # -p dsv3-core: building the root package alone links dsv3-core as a
 # library and can leave target/release/dsv3 stale.
