@@ -4,41 +4,18 @@
 //! `BENCH_lint.json` at the repo root in the shared
 //! `{"bench", "metrics"}` schema.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use dsv3_bench::{time_ns, write_artifact, REPO_ROOT};
 use dsv3_core::lint::config::LintConfig;
 use dsv3_core::lint::{analyze_workspace, lexer, parser};
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::Path;
 
-/// Best-of-`samples` per-iteration nanoseconds for `f`.
-fn time_ns<O>(samples: u32, iters: u32, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
-fn bench_lint(c: &mut Criterion) {
-    let root = workspace_root();
+fn main() {
+    let root = Path::new(REPO_ROOT);
     let cfg = LintConfig::default_config();
 
     // Pre-read every source once so the parser-only row measures
     // parsing, not the filesystem.
-    let work = dsv3_core::lint::walk::collect(&root).expect("walk workspace");
+    let work = dsv3_core::lint::walk::collect(root).expect("walk workspace");
     let sources: Vec<String> = work
         .sources
         .iter()
@@ -46,24 +23,7 @@ fn bench_lint(c: &mut Criterion) {
         .collect();
     let total_bytes: usize = sources.iter().map(String::len).sum();
 
-    let mut g = c.benchmark_group("lint");
-    g.sample_size(10);
-    g.bench_function("workspace_scan", |b| {
-        b.iter(|| black_box(analyze_workspace(&root, &cfg).expect("scan")))
-    });
-    g.bench_function("parse_all_sources", |b| {
-        b.iter(|| {
-            let mut fns = 0usize;
-            for src in &sources {
-                let lexed = lexer::lex(src);
-                fns += parser::parse_items(&lexed.toks, &lexed.comments).fns.len();
-            }
-            black_box(fns)
-        })
-    });
-    g.finish();
-
-    let scan_ns = time_ns(5, 2, || analyze_workspace(&root, &cfg).expect("scan"));
+    let scan_ns = time_ns(5, 2, || analyze_workspace(root, &cfg).expect("scan"));
     let parse_ns = time_ns(5, 2, || {
         let mut fns = 0usize;
         for src in &sources {
@@ -74,19 +34,13 @@ fn bench_lint(c: &mut Criterion) {
     });
     let parse_mb_per_s = (total_bytes as f64 / 1e6) / (parse_ns / 1e9);
 
-    let mut json = String::from("{\n  \"bench\": \"lint\",\n  \"metrics\": {\n");
-    let _ = writeln!(json, "    \"workspace_scan_ns\": {scan_ns:.0},");
-    let _ = writeln!(json, "    \"parse_all_sources_ns\": {parse_ns:.0},");
-    let _ = writeln!(json, "    \"source_files\": {},", sources.len());
-    let _ = writeln!(json, "    \"source_bytes\": {total_bytes},");
-    let _ = writeln!(json, "    \"parser_throughput_mb_per_s\": {parse_mb_per_s:.1}");
-    json.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lint.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let metrics = [
+        ("workspace_scan_ns", format!("{scan_ns:.0}")),
+        ("parse_all_sources_ns", format!("{parse_ns:.0}")),
+        ("source_files", sources.len().to_string()),
+        ("source_bytes", total_bytes.to_string()),
+        ("parser_throughput_mb_per_s", format!("{parse_mb_per_s:.1}")),
+    ];
+    let path = write_artifact(root, "lint", &metrics).expect("write BENCH_lint.json");
+    println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_lint);
-criterion_main!(benches);

@@ -1,77 +1,36 @@
 //! Benchmark the memory timeline walker: production-shaped 61-layer ×
 //! PP16 timelines under both schedules, plus the 2048-GPU frontier
-//! search. Besides the criterion-style console lines, this bench writes
-//! `BENCH_memtl.json` at the repo root — a small machine-readable
-//! events/sec artifact so timeline-walker regressions show up in diffs.
+//! search. Writes `BENCH_memtl.json` at the repo root — a small
+//! machine-readable events/sec artifact so timeline-walker regressions
+//! show up in diffs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use dsv3_bench::{time_ns, write_artifact, REPO_ROOT};
 use dsv3_core::memtl::{largest_fitting, simulate, FrontierQuery, GpuSpec, MemPlan, ScheduleKind};
 use dsv3_core::model::zoo;
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
+use std::path::Path;
 
-/// Best-of-`samples` per-iteration nanoseconds for `f`.
-fn time_ns<O>(samples: u32, iters: u32, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-fn bench_memtl(c: &mut Criterion) {
+fn main() {
     let cfg = zoo::deepseek_v3();
     let dualpipe = MemPlan::deepseek_v3_production();
     let one_f_one_b = MemPlan { schedule: ScheduleKind::OneFOneB, ..dualpipe };
     let query = FrontierQuery { gpus: 2048, spec: GpuSpec::h800() };
 
-    // Criterion-style console lines.
-    let mut g = c.benchmark_group("memtl");
-    g.sample_size(10);
-    g.bench_function("dualpipe_61l_pp16_120micro", |b| {
-        b.iter(|| black_box(simulate(&cfg, &dualpipe)))
-    });
-    g.bench_function("1f1b_61l_pp16_120micro", |b| {
-        b.iter(|| black_box(simulate(&cfg, &one_f_one_b)))
-    });
-    g.bench_function("frontier_2048_gpus", |b| {
-        b.iter(|| black_box(largest_fitting(&cfg, &dualpipe, &query)))
-    });
-    g.finish();
-
-    // Machine-readable artifact: events walked per second per scenario.
-    let mut rows = Vec::new();
+    // Events walked per second per scenario.
+    let mut metrics = Vec::new();
     for (name, plan) in
         [("dualpipe_61l_pp16_120micro", &dualpipe), ("1f1b_61l_pp16_120micro", &one_f_one_b)]
     {
         let events = simulate(&cfg, plan).chunk_events;
         let ns = time_ns(5, 8, || simulate(&cfg, plan));
-        rows.push((name, events, ns, events as f64 / (ns / 1e9)));
+        let eps = events as f64 / (ns / 1e9);
+        metrics.push((format!("{name}_chunk_events"), events.to_string()));
+        metrics.push((format!("{name}_walk_ns"), format!("{ns:.0}")));
+        metrics.push((format!("{name}_events_per_sec"), format!("{eps:.0}")));
     }
     let frontier_ns = time_ns(3, 2, || largest_fitting(&cfg, &dualpipe, &query));
+    metrics.push(("frontier_2048_gpus_ns".to_string(), format!("{frontier_ns:.0}")));
 
-    let mut json = String::from("{\n  \"bench\": \"memtl\",\n  \"metrics\": {\n");
-    for (name, events, ns, eps) in &rows {
-        let _ = writeln!(json, "    \"{name}_chunk_events\": {events},");
-        let _ = writeln!(json, "    \"{name}_walk_ns\": {ns:.0},");
-        let _ = writeln!(json, "    \"{name}_events_per_sec\": {eps:.0},");
-    }
-    let _ = writeln!(json, "    \"frontier_2048_gpus_ns\": {frontier_ns:.0}");
-    json.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_memtl.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let path =
+        write_artifact(Path::new(REPO_ROOT), "memtl", &metrics).expect("write BENCH_memtl.json");
+    println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_memtl);
-criterion_main!(benches);

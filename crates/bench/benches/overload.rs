@@ -1,36 +1,17 @@
 //! Benchmark the overload-robustness layer: a fault-aware baseline run,
 //! the same run through `run_overload` with every subsystem disabled
 //! (the zero-cost-when-off claim), and the full admission + ladder +
-//! clients + autoscale stack. Besides the criterion-style console
-//! lines, this bench writes `BENCH_overload.json` at the repo root and
-//! asserts the disabled path stays within 1.2x of the baseline — the
-//! overload layer must be free when it is off.
+//! clients + autoscale stack. Writes `BENCH_overload.json` at the repo
+//! root and asserts the disabled path stays within 1.2x of the
+//! baseline — the overload layer must be free when it is off.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use dsv3_bench::{time_ns, write_artifact, REPO_ROOT};
 use dsv3_core::faults::{FaultPlan, RecoveryPolicy};
 use dsv3_core::serving::{
     run_overload, run_with_faults, AdmissionConfig, ArrivalProcess, AutoscaleConfig, ClientConfig,
     LadderConfig, OverloadConfig, RateLimitConfig, RouterPolicy, ServingSimConfig,
 };
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Best-of-`samples` per-iteration nanoseconds for `f`.
-fn time_ns<O>(samples: u32, iters: u32, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
+use std::path::Path;
 
 fn full_stack() -> OverloadConfig {
     OverloadConfig {
@@ -47,7 +28,7 @@ fn full_stack() -> OverloadConfig {
     }
 }
 
-fn bench_overload(c: &mut Criterion) {
+fn main() {
     let cfg = ServingSimConfig::h800_baseline(
         ArrivalProcess::Poisson { rate_per_s: 12.0 },
         300,
@@ -58,44 +39,25 @@ fn bench_overload(c: &mut Criterion) {
     let disabled = OverloadConfig::disabled();
     let full = full_stack();
 
-    let mut g = c.benchmark_group("overload");
-    g.sample_size(10);
-    g.bench_function("baseline_300", |b| {
-        b.iter(|| black_box(run_with_faults(&cfg, &plan, &policy)))
-    });
-    g.bench_function("disabled_overload_300", |b| {
-        b.iter(|| black_box(run_overload(&cfg, &plan, &policy, &disabled)))
-    });
-    g.bench_function("full_stack_300", |b| {
-        b.iter(|| black_box(run_overload(&cfg, &plan, &policy, &full)))
-    });
-    g.finish();
-
-    // Machine-readable artifact plus the zero-cost-when-off gate.
     let base_ns = time_ns(5, 4, || run_with_faults(&cfg, &plan, &policy));
     let off_ns = time_ns(5, 4, || run_overload(&cfg, &plan, &policy, &disabled));
     let full_ns = time_ns(5, 4, || run_overload(&cfg, &plan, &policy, &full));
     let off_ratio = off_ns / base_ns;
     let full_ratio = full_ns / base_ns;
 
-    let mut json = String::from("{\n  \"bench\": \"overload\",\n  \"metrics\": {\n");
-    let _ = writeln!(json, "    \"baseline_ns\": {base_ns:.0},");
-    let _ = writeln!(json, "    \"disabled_overload_ns\": {off_ns:.0},");
-    let _ = writeln!(json, "    \"full_stack_ns\": {full_ns:.0},");
-    let _ = writeln!(json, "    \"disabled_overhead_ratio\": {off_ratio:.3},");
-    let _ = writeln!(json, "    \"full_stack_overhead_ratio\": {full_ratio:.3}");
-    json.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overload.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let metrics = [
+        ("baseline_ns", format!("{base_ns:.0}")),
+        ("disabled_overload_ns", format!("{off_ns:.0}")),
+        ("full_stack_ns", format!("{full_ns:.0}")),
+        ("disabled_overhead_ratio", format!("{off_ratio:.3}")),
+        ("full_stack_overhead_ratio", format!("{full_ratio:.3}")),
+    ];
+    let path = write_artifact(Path::new(REPO_ROOT), "overload", &metrics)
+        .expect("write BENCH_overload.json");
+    println!("wrote {}", path.display());
 
     assert!(
         off_ratio <= 1.2,
         "disabled overload layer must cost <= 1.2x the baseline, measured {off_ratio:.3}x"
     );
 }
-
-criterion_group!(benches, bench_overload);
-criterion_main!(benches);

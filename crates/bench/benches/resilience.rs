@@ -9,33 +9,15 @@
 //! within 1.2x of `simulate_goodput` — the generalisation must not tax
 //! the case the old API already handled.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use dsv3_bench::{time_ns, write_artifact, REPO_ROOT};
 use dsv3_core::faults::{
     generate_failures, simulate_goodput, simulate_resilience, system_mtbf_s, CheckpointBytes,
     CheckpointStack, ComponentMtbf, FleetSpec, RecoveryKind, ResilienceConfig, SdcConfig,
 };
 use dsv3_core::model::availability::AvailabilityModel;
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
+use std::path::Path;
 
-/// Best-of-`samples` per-iteration nanoseconds for `f`.
-fn time_ns<O>(samples: u32, iters: u32, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-fn bench_resilience(c: &mut Criterion) {
+fn main() {
     let spec = FleetSpec::with_gpus(16_384);
     let mtbf = ComponentMtbf::production();
     let mtbf_s = system_mtbf_s(&spec, &mtbf);
@@ -79,47 +61,25 @@ fn bench_resilience(c: &mut Criterion) {
         ..degenerate.clone()
     };
 
-    let mut g = c.benchmark_group("resilience");
-    g.sample_size(10);
-    g.bench_function("goodput_30d_16k", |b| {
-        b.iter(|| black_box(simulate_goodput(&av, interval_s, &times, horizon_s)))
-    });
-    g.bench_function("degenerate_30d_16k", |b| {
-        b.iter(|| black_box(simulate_resilience(&degenerate, &failures)))
-    });
-    g.bench_function("tiered_spare_sdc_30d_16k", |b| {
-        b.iter(|| black_box(simulate_resilience(&full, &failures)))
-    });
-    g.bench_function("generate_failures_30d_16k", |b| {
-        b.iter(|| black_box(generate_failures(&spec, &mtbf, 42, horizon_s)))
-    });
-    g.finish();
-
-    // Machine-readable artifact plus the no-generalisation-tax gate.
     let goodput_ns = time_ns(5, 8, || simulate_goodput(&av, interval_s, &times, horizon_s));
     let degen_ns = time_ns(5, 8, || simulate_resilience(&degenerate, &failures));
     let full_ns = time_ns(5, 8, || simulate_resilience(&full, &failures));
     let gen_ns = time_ns(5, 8, || generate_failures(&spec, &mtbf, 42, horizon_s));
     let ratio = degen_ns / goodput_ns;
 
-    let mut json = String::from("{\n  \"bench\": \"resilience\",\n  \"metrics\": {\n");
-    let _ = writeln!(json, "    \"simulate_goodput_ns\": {goodput_ns:.0},");
-    let _ = writeln!(json, "    \"degenerate_ns\": {degen_ns:.0},");
-    let _ = writeln!(json, "    \"tiered_spare_sdc_ns\": {full_ns:.0},");
-    let _ = writeln!(json, "    \"generate_failures_ns\": {gen_ns:.0},");
-    let _ = writeln!(json, "    \"degenerate_vs_goodput_ratio\": {ratio:.3}");
-    json.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let metrics = [
+        ("simulate_goodput_ns", format!("{goodput_ns:.0}")),
+        ("degenerate_ns", format!("{degen_ns:.0}")),
+        ("tiered_spare_sdc_ns", format!("{full_ns:.0}")),
+        ("generate_failures_ns", format!("{gen_ns:.0}")),
+        ("degenerate_vs_goodput_ratio", format!("{ratio:.3}")),
+    ];
+    let path = write_artifact(Path::new(REPO_ROOT), "resilience", &metrics)
+        .expect("write BENCH_resilience.json");
+    println!("wrote {}", path.display());
 
     assert!(
         ratio <= 1.2,
         "degenerate resilience walk must cost <= 1.2x simulate_goodput, measured {ratio:.3}x"
     );
 }
-
-criterion_group!(benches, bench_resilience);
-criterion_main!(benches);

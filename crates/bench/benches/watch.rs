@@ -7,34 +7,16 @@
 //! path stays within 1.1x of the plain baseline — observability must
 //! be free when it is off.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use dsv3_bench::{time_ns, write_artifact, REPO_ROOT};
 use dsv3_core::faults::{FaultPlan, RecoveryPolicy};
 use dsv3_core::serving::{
     run_overload_traced, run_with_faults, ArrivalProcess, ClientConfig, OverloadConfig,
     RouterPolicy, ServingSimConfig,
 };
 use dsv3_core::telemetry::{evaluate, Recorder, WatchConfig};
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
+use std::path::Path;
 
-/// Best-of-`samples` per-iteration nanoseconds for `f`.
-fn time_ns<O>(samples: u32, iters: u32, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-fn bench_watch(c: &mut Criterion) {
+fn main() {
     let cfg = ServingSimConfig::h800_baseline(
         ArrivalProcess::Poisson { rate_per_s: 12.0 },
         300,
@@ -53,32 +35,9 @@ fn bench_watch(c: &mut Criterion) {
         timeline_window_ms: 5_000.0,
         ..OverloadConfig::disabled()
     };
-
-    let mut g = c.benchmark_group("watch");
-    g.sample_size(10);
-    g.bench_function("baseline_300", |b| {
-        b.iter(|| black_box(run_with_faults(&cfg, &plan, &policy)))
-    });
-    g.bench_function("disabled_recorder_300", |b| {
-        b.iter(|| {
-            let mut rec = Recorder::disabled();
-            black_box(run_overload_traced(&cfg, &plan, &policy, &off, &mut rec, "bench"))
-        })
-    });
-    g.bench_function("traced_300", |b| {
-        b.iter(|| {
-            let mut rec = Recorder::new();
-            black_box(run_overload_traced(&cfg, &plan, &policy, &ov, &mut rec, "bench"))
-        })
-    });
     let mut traced = Recorder::new();
     let _ = run_overload_traced(&cfg, &plan, &policy, &ov, &mut traced, "bench");
-    g.bench_function("evaluate_300", |b| {
-        b.iter(|| black_box(evaluate("bench", &traced, &WatchConfig::default())))
-    });
-    g.finish();
 
-    // Machine-readable artifact plus the free-when-off gate.
     let base_ns = time_ns(5, 4, || run_with_faults(&cfg, &plan, &policy));
     let off_ns = time_ns(5, 4, || {
         let mut rec = Recorder::disabled();
@@ -91,24 +50,19 @@ fn bench_watch(c: &mut Criterion) {
     let eval_ns = time_ns(5, 4, || evaluate("bench", &traced, &WatchConfig::default()));
     let off_ratio = off_ns / base_ns;
 
-    let mut json = String::from("{\n  \"bench\": \"watch\",\n  \"metrics\": {\n");
-    let _ = writeln!(json, "    \"baseline_ns\": {base_ns:.0},");
-    let _ = writeln!(json, "    \"disabled_recorder_ns\": {off_ns:.0},");
-    let _ = writeln!(json, "    \"traced_ns\": {on_ns:.0},");
-    let _ = writeln!(json, "    \"evaluate_ns\": {eval_ns:.0},");
-    let _ = writeln!(json, "    \"disabled_overhead_ratio\": {off_ratio:.3}");
-    json.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_watch.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let metrics = [
+        ("baseline_ns", format!("{base_ns:.0}")),
+        ("disabled_recorder_ns", format!("{off_ns:.0}")),
+        ("traced_ns", format!("{on_ns:.0}")),
+        ("evaluate_ns", format!("{eval_ns:.0}")),
+        ("disabled_overhead_ratio", format!("{off_ratio:.3}")),
+    ];
+    let path =
+        write_artifact(Path::new(REPO_ROOT), "watch", &metrics).expect("write BENCH_watch.json");
+    println!("wrote {}", path.display());
 
     assert!(
         off_ratio <= 1.1,
         "disabled observability must cost <= 1.1x the plain baseline, measured {off_ratio:.3}x"
     );
 }
-
-criterion_group!(benches, bench_watch);
-criterion_main!(benches);

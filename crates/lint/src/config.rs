@@ -29,12 +29,12 @@ pub struct LintConfig {
 
 /// Paths where printing, panicking, and hash collections are fine:
 /// binaries own stdout, examples and tests are not library code, and
-/// benches are driven by criterion.
+/// benches are measurement harnesses.
 const BIN_EXAMPLES_TESTS: [&str; 4] = ["src/bin/", "examples/", "tests/", "/benches/"];
 
 impl LintConfig {
-    /// The repository policy. D1 exempts benches (criterion measures
-    /// wall time by design); D3 exempts nothing — unseeded entropy is
+    /// The repository policy. D1 exempts benches (they measure wall
+    /// time by design); D3 exempts nothing — unseeded entropy is
     /// never acceptable, not even in tests. U2 additionally covers
     /// `src/bin/`: a binary that mixes ms and µs misreports results
     /// just as badly as a library would.
@@ -90,7 +90,7 @@ mod tests {
         assert!(c.applies(RuleId::P1, "crates/serving/src/engine.rs"));
         assert!(!c.applies(RuleId::P1, "crates/serving/tests/goldens.rs"));
         assert!(!c.applies(RuleId::D4, "crates/core/src/bin/dsv3.rs"));
-        assert!(!c.applies(RuleId::D1, "crates/bench/benches/telemetry.rs"));
+        assert!(!c.applies(RuleId::D1, "crates/bench/benches/watch.rs"));
         assert!(c.applies(RuleId::D1, "crates/core/src/telemetry/recorder.rs"));
         assert!(c.applies(RuleId::D3, "crates/model/tests/proptests.rs"), "D3 has no exemptions");
     }

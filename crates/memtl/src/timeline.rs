@@ -408,6 +408,12 @@ mod tests {
         let prod = simulate(&cfg, &MemPlan::deepseek_v3_production());
         assert!(prod.fits(&spec), "production peak {} GB", prod.peak_gb);
         assert!(prod.peak_gb > 25.0, "not trivially empty: {}", prod.peak_gb);
+        // Exact walker work at the production plan, as BENCH_memtl.json
+        // reports it: a change in chunk events is a change in the walk.
+        assert_eq!(prod.chunk_events, 5_760);
+        let one_f_one_b =
+            MemPlan { schedule: ScheduleKind::OneFOneB, ..MemPlan::deepseek_v3_production() };
+        assert_eq!(simulate(&cfg, &one_f_one_b).chunk_events, 3_840);
         let naive = simulate(&cfg, &MemPlan::naive());
         assert!(!naive.fits(&spec), "naive peak {} GB should exceed 70", naive.peak_gb);
     }

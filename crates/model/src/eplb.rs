@@ -124,17 +124,25 @@ mod tests {
 
     #[test]
     fn redundancy_improves_skewed_balance() {
-        let loads = zipf_loads(64, 1.2, 100_000.0);
-        let base = place(&loads, 8, 0);
-        let replicated = place(&loads, 8, 16);
-        assert!(
-            replicated.imbalance() < base.imbalance(),
-            "{} vs {}",
-            replicated.imbalance(),
-            base.imbalance()
-        );
-        // With generous replication the hottest GPU is within 15% of mean.
-        assert!(replicated.imbalance() < 1.15, "{}", replicated.imbalance());
+        // (experts, Zipf exponent, tokens, GPUs); the second input is the
+        // V3-sized point EXPERIMENTS.md cites.
+        for (experts, alpha, tokens, gpus) in [(64, 1.2, 100_000.0, 8), (256, 1.1, 1e6, 32)] {
+            let loads = zipf_loads(experts, alpha, tokens);
+            let base = place(&loads, gpus, 0);
+            let replicated = place(&loads, gpus, 16);
+            assert!(
+                replicated.imbalance() < base.imbalance(),
+                "{} vs {}",
+                replicated.imbalance(),
+                base.imbalance()
+            );
+            // With generous replication the hottest GPU is within 15% of mean.
+            assert!(replicated.imbalance() < 1.15, "{}", replicated.imbalance());
+            if experts == 256 {
+                let pair = format!("{:.3} {:.3}", base.imbalance(), replicated.imbalance());
+                assert_eq!(pair, "6.609 1.004");
+            }
+        }
     }
 
     #[test]

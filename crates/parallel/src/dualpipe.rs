@@ -473,17 +473,25 @@ mod tests {
 
     #[test]
     fn dualpipe_beats_zb1p_and_1f1b() {
-        let (s, m) = (8, 32);
-        let dp = dualpipe(s, m, T);
-        let zb = zb1p(s, m, T);
-        let classic = one_f_one_b(s, m, T);
-        assert!(
-            dp.total_time < zb.total_time,
-            "dualpipe {} vs zb1p {}",
-            dp.total_time,
-            zb.total_time
-        );
-        assert!(dp.total_time < classic.total_time);
+        // The second input is the PP=16 point EXPERIMENTS.md cites.
+        let pp16 = ChunkTimes { f: 1.0, b: 1.0, w: 0.33 };
+        for (s, m, t) in [(8, 32, T), (16, 120, pp16)] {
+            let dp = dualpipe(s, m, t);
+            let zb = zb1p(s, m, t);
+            let classic = one_f_one_b(s, m, t);
+            assert!(
+                dp.total_time < zb.total_time,
+                "dualpipe {} vs zb1p {}",
+                dp.total_time,
+                zb.total_time
+            );
+            assert!(dp.total_time < classic.total_time);
+            if s == 16 {
+                let steps =
+                    format!("{:.1} {:.1} {:.1}", dp.total_time, zb.total_time, classic.total_time);
+                assert_eq!(steps, "247.6 294.8 314.6");
+            }
+        }
     }
 
     #[test]

@@ -93,19 +93,19 @@ cargo build --release --offline --examples
 echo "==> full workspace tests"
 cargo test -q --workspace --offline
 
-echo "==> bench gate: watch overhead within budget, no >25% regression"
-scripts/bench_gate.sh run watch
-
-echo "==> bench gate: lint scan + parser throughput, no >25% regression"
-scripts/bench_gate.sh run lint
-
-echo "==> bench gate: degenerate resilience walk within 1.2x of simulate_goodput"
-scripts/bench_gate.sh run resilience
-
-echo "==> bench gate: memory-timeline walker, no >25% regression"
-scripts/bench_gate.sh run memtl
-
-echo "==> bench gate: overload sweep, no >25% regression"
-scripts/bench_gate.sh run overload
+# Every wall-clock gate reports, even after one fails; CI fails at the
+# end, naming each failed gate. Besides bench_gate.sh's 25% regression
+# bound, watch asserts its disabled recorder within 1.1x of the plain
+# run, overload its disabled layer within 1.2x, and resilience its
+# degenerate walk within 1.2x of simulate_goodput.
+failed_gates=()
+for bench in watch lint resilience memtl overload; do
+  echo "==> bench gate: $bench, no >25% regression"
+  scripts/bench_gate.sh run "$bench" || failed_gates+=("$bench")
+done
+if [ "${#failed_gates[@]}" -gt 0 ]; then
+  echo "bench gates failed: ${failed_gates[*]}" >&2
+  exit 1
+fi
 
 echo "CI green."
