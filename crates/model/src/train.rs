@@ -120,11 +120,9 @@ impl Task {
             1.0,
             self.cfg.seed ^ (index * 2 + 1),
         );
-        for r in 0..x.rows {
-            for c in 0..x.cols {
-                let v = x.get(r, c) * self.feature_scale[c];
-                x.set(r, c, v);
-            }
+        // Rows are `input_dim` long, as `feature_scale` is.
+        for (v, s) in x.data.iter_mut().zip(self.feature_scale.iter().cycle()) {
+            *v *= s;
         }
         let y = relu(&x.matmul(&self.teacher_w1)).matmul(&self.teacher_w2);
         (x, y)

@@ -8,11 +8,18 @@
 //! the main accumulator. The main accumulator is FP32 in the DeepGEMM
 //! strategy, or FP22 when modelling "keep everything in the tensor core
 //! registers" (the behaviour the paper warns about).
+//!
+//! [`Fp8Gemm::execute`] runs the tensor-core portion on integers: FP8
+//! codes are whole numbers of units of the format's smallest subnormal,
+//! so a product is an exact `u64` and the per-32 alignment and truncation
+//! is a shift. Its output is bit-identical to the float emulation of the
+//! same steps.
 
+use crate::fp22::pow2;
 use crate::matrix::Matrix;
 use crate::minifloat::Format;
 use crate::quant::{quantize_per_tensor, BlockQuantized, TileQuantized};
-use crate::tensorcore::{align_truncate_sum, MMA_K};
+use crate::tensorcore::{align_truncate_sum, align_truncate_sum_units, MMA_K};
 use crate::Fp22;
 use serde::{Deserialize, Serialize};
 
@@ -60,14 +67,21 @@ impl Fp8Gemm {
     ///
     /// # Panics
     ///
-    /// Panics if shapes are incompatible or `cfg.chunk` is 0 or not a
-    /// multiple of [`MMA_K`].
+    /// Panics if shapes are incompatible, `cfg.chunk` is 0 or not a
+    /// multiple of [`MMA_K`], or `cfg.format` is wider than 8 bits or has
+    /// magnitudes of 2^32 or more of its smallest subnormal (E6M1, E7M0):
+    /// [`execute`](Self::execute) multiplies codes as 32-bit integers.
     #[must_use]
     pub fn prepare(a: &Matrix, b: &Matrix, cfg: Fp8GemmConfig) -> Self {
         assert_eq!(a.cols, b.rows, "inner dimensions must agree");
         assert!(
             cfg.chunk > 0 && cfg.chunk.is_multiple_of(MMA_K),
             "chunk must be a positive multiple of {MMA_K}"
+        );
+        let f = cfg.format;
+        assert!(
+            f.total_bits() <= 8 && f.max_finite() / f.min_subnormal() < 2f64.powi(32),
+            "format must be an 8-bit one whose codes fit 32-bit integer units, not {f:?}"
         );
         let qa = TileQuantized::quantize(a, cfg.format, cfg.chunk);
         let qb = BlockQuantized::quantize(b, cfg.format, cfg.chunk);
@@ -76,61 +90,163 @@ impl Fp8Gemm {
 
     /// Execute the emulated GEMM.
     ///
-    /// For each (row, K-chunk) the products for all `n` columns are formed
-    /// first, reading B's rows contiguously. Each column keeps its own
-    /// accumulator, so every output sees the same float operations in the
-    /// same order as a column-at-a-time loop.
+    /// Codes are multiplied as integers: each is a whole number of units
+    /// of the format's smallest subnormal, below 2^32, so each product is
+    /// an exact `u64`, aligned and truncated by a shift. B is transposed
+    /// once into such units, so that every output reads its column
+    /// contiguously, and each row of A is converted as it is reached.
+    /// A 32-product group that holds a code with no unit count (NaN, ±∞
+    /// or a value off the format's grid) multiplies the `f64` codes and
+    /// takes [`align_truncate_sum`] instead. The FP22 partials, the scales
+    /// and the main accumulators are those of the column-at-a-time loop,
+    /// so every output is bit-identical to it.
     #[must_use]
     pub fn execute(&self) -> Matrix {
         let (m, k, n) = (self.a.rows, self.a.cols, self.b.cols);
         let chunk = self.cfg.chunk;
+        let grid = UnitGrid::new(self.cfg.format);
+        // B transposed: vector `j` is column `j`.
+        let mut bt = Units::default();
+        bt.fill(&self.b.codes, n, k, |j, kk| kk * n + j, grid);
+        let mut a_row = Units::default();
+        let chunks = k.div_ceil(chunk);
+        // Chunk-major B scales: chunk `t`'s scales of all `n` columns.
+        let b_scales: Vec<f64> =
+            (0..chunks).flat_map(|t| (0..n).map(move |j| self.b.scale_at(t * chunk, j))).collect();
         let mut out = Matrix::zeros(m, n);
-        // One chunk's products, column-major: column j's are contiguous.
-        let mut prod = vec![0f64; chunk.min(k) * n];
-        let mut acc_f32 = vec![0f32; n];
-        let mut acc_fp22 = vec![Fp22::new(); n];
-        let mut acc_exact = vec![0f64; n];
+        let mut a_scales = vec![0f64; chunks];
+        let mut prod = [0f64; MMA_K];
         for i in 0..m {
-            acc_f32.fill(0.0);
-            acc_fp22.fill(Fp22::new());
-            acc_exact.fill(0.0);
-            let a_row = &self.a.codes[i * k..(i + 1) * k];
-            for c0 in (0..k).step_by(chunk) {
-                let len = chunk.min(k - c0);
-                for (kk, &a) in a_row[c0..c0 + len].iter().enumerate() {
-                    let b_row = &self.b.codes[(c0 + kk) * n..(c0 + kk + 1) * n];
-                    for (j, &b) in b_row.iter().enumerate() {
-                        prod[j * len + kk] = a * b;
-                    }
-                }
-                let a_scale = self.a.scale_at(i, c0);
-                for (j, column) in prod[..len * n].chunks_exact(len).enumerate() {
+            let a_codes = &self.a.codes[i * k..(i + 1) * k];
+            a_row.fill(a_codes, 1, k, |_, kk| kk, grid);
+            let (a_mag, a_negative, a_exact) = a_row.vector(0);
+            for (t, s) in a_scales.iter_mut().enumerate() {
+                *s = self.a.scale_at(i, t * chunk);
+            }
+            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                let (b_mag, b_negative, b_exact) = bt.vector(j);
+                let mut acc_f32 = 0f32;
+                let mut acc_fp22 = Fp22::new();
+                let mut acc_exact = 0f64;
+                for (t, &a_scale) in a_scales.iter().enumerate() {
                     // Tensor-core portion: FP22 accumulation of aligned,
                     // truncated 32-product sums over this chunk.
                     let mut partial = Fp22::new();
-                    for sub in column.chunks(MMA_K) {
-                        partial = partial + align_truncate_sum(sub);
+                    for g in t * chunk / MMA_K..((t + 1) * chunk).min(k).div_ceil(MMA_K) {
+                        let (k0, k1) = (g * MMA_K, ((g + 1) * MMA_K).min(k));
+                        let sum = if a_exact[g] && b_exact[g] {
+                            let negative = a_negative[g] ^ b_negative[g];
+                            let (a, b) = (&a_mag[k0..k1], &b_mag[k0..k1]);
+                            align_truncate_sum_units(a, b, negative, grid.product_exp)
+                        } else {
+                            for (p, kk) in prod.iter_mut().zip(k0..k1) {
+                                *p = a_codes[kk] * self.b.codes[kk * n + j];
+                            }
+                            align_truncate_sum(&prod[..k1 - k0])
+                        };
+                        partial = partial + sum;
                     }
                     // CUDA-core portion: dequantize and promote.
-                    let scale = a_scale * self.b.scale_at(c0, j);
-                    let scaled = partial.to_f64() * scale;
+                    let scaled = partial.to_f64() * (a_scale * b_scales[t * n + j]);
                     match self.cfg.main_acc {
-                        MainAccumulator::Fp32 => acc_f32[j] += scaled as f32,
-                        MainAccumulator::Fp22 => acc_fp22[j] = acc_fp22[j] + scaled,
-                        MainAccumulator::Exact => acc_exact[j] += scaled,
+                        MainAccumulator::Fp32 => acc_f32 += scaled as f32,
+                        MainAccumulator::Fp22 => acc_fp22 = acc_fp22 + scaled,
+                        MainAccumulator::Exact => acc_exact += scaled,
                     }
                 }
-            }
-            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
                 let v = match self.cfg.main_acc {
-                    MainAccumulator::Fp32 => f64::from(acc_f32[j]),
-                    MainAccumulator::Fp22 => acc_fp22[j].to_f64(),
-                    MainAccumulator::Exact => acc_exact[j],
+                    MainAccumulator::Fp32 => f64::from(acc_f32),
+                    MainAccumulator::Fp22 => acc_fp22.to_f64(),
+                    MainAccumulator::Exact => acc_exact,
                 };
                 *o = v as f32;
             }
         }
         out
+    }
+}
+
+/// How a format's codes map to integer units: one unit is its smallest
+/// subnormal, `2^exp`.
+#[derive(Clone, Copy)]
+struct UnitGrid {
+    /// `2^-exp`: a code times this is its unit count.
+    per_code: f64,
+    /// The exponent of one unit of a product of two codes.
+    product_exp: i32,
+    /// The `f64` fraction bits below the format's mantissa, all zero in a
+    /// code.
+    below_mantissa: u64,
+}
+
+impl UnitGrid {
+    fn new(f: Format) -> Self {
+        let exp = 1 - f.bias() - f.man_bits as i32;
+        Self {
+            per_code: pow2(-exp),
+            product_exp: 2 * exp,
+            below_mantissa: (1 << (52 - f.man_bits)) - 1,
+        }
+    }
+}
+
+/// Vectors of codes along K as unit counts, in groups of [`MMA_K`].
+#[derive(Default)]
+struct Units {
+    /// Codes per vector.
+    len: usize,
+    /// Unit count of each code's magnitude, vector after vector.
+    mag: Vec<u32>,
+    /// Per group: bit `k` is the sign of its code `k`.
+    negative: Vec<u32>,
+    /// Per group: whether every code is a whole number of units whose
+    /// significand fits the format (false for NaN, ±∞ and off-grid
+    /// values, whose `mag` is then meaningless).
+    exact: Vec<bool>,
+}
+
+impl Units {
+    /// Refill with `count` vectors of `len` codes, element `kk` of vector
+    /// `v` being `codes[at(v, kk)]`, reusing the buffers.
+    fn fill(
+        &mut self,
+        codes: &[f64],
+        count: usize,
+        len: usize,
+        at: impl Fn(usize, usize) -> usize,
+        grid: UnitGrid,
+    ) {
+        self.len = len;
+        self.mag.clear();
+        self.mag.resize(count * len, 0);
+        self.negative.clear();
+        self.exact.clear();
+        for v in 0..count {
+            let mag = &mut self.mag[v * len..(v + 1) * len];
+            for (g, mag) in mag.chunks_mut(MMA_K).enumerate() {
+                let (mut negative, mut exact) = (0u32, true);
+                for (bit, m) in mag.iter_mut().enumerate() {
+                    let code = codes[at(v, g * MMA_K + bit)];
+                    let units = code.abs() * grid.per_code;
+                    *m = units as u32;
+                    exact &= f64::from(*m) == units && code.to_bits() & grid.below_mantissa == 0;
+                    negative |= u32::from(code.is_sign_negative()) << bit;
+                }
+                self.negative.push(negative);
+                self.exact.push(exact);
+            }
+        }
+    }
+
+    /// Vector `v`: its unit counts, and its groups' sign masks and
+    /// exactness.
+    fn vector(&self, v: usize) -> (&[u32], &[u32], &[bool]) {
+        let groups = self.len.div_ceil(MMA_K);
+        (
+            &self.mag[v * self.len..(v + 1) * self.len],
+            &self.negative[v * groups..(v + 1) * groups],
+            &self.exact[v * groups..(v + 1) * groups],
+        )
     }
 }
 

@@ -105,7 +105,15 @@ impl Matrix {
     /// Transposed copy.
     #[must_use]
     pub fn transpose(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Self::zeros(self.cols, self.rows);
+        if self.rows > 0 {
+            for (c, col) in out.data.chunks_exact_mut(self.rows).enumerate() {
+                for (o, row) in col.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+                    *o = row[c];
+                }
+            }
+        }
+        out
     }
 
     /// Reference matmul `self × rhs` with `f64` accumulation.

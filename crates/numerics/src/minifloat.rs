@@ -3,10 +3,14 @@
 //! A [`Format`] describes a sign/exponent/mantissa layout. [`Format::encode`]
 //! converts an `f64` to the nearest representable value (round-to-nearest,
 //! ties-to-even) and returns its bit pattern; [`Format::decode`] converts a
-//! bit pattern back to `f64`. Saturating behaviour on overflow is the one
-//! used by FP8 training frameworks (values beyond the max finite magnitude
-//! clamp to it rather than becoming infinity/NaN), which is also what
-//! DeepSeek-V3's quantizer relies on.
+//! bit pattern back to `f64`. [`Format::quantize`], the cast through the
+//! format and back that the quantizers and trainers call per element, is
+//! fused: it rounds the `f64` to the format's grid without forming the
+//! code, and gives exactly what `decode(encode(x))` gives. Saturating
+//! behaviour on overflow is the one used by FP8 training frameworks
+//! (values beyond the max finite magnitude clamp to it rather than
+//! becoming infinity/NaN), which is also what DeepSeek-V3's quantizer
+//! relies on.
 
 use crate::fp22::{exponent_field, pow2, F64_FRACTION_MASK};
 use serde::{Deserialize, Serialize};
@@ -188,13 +192,52 @@ impl Format {
         (e << self.man_bits) | man_max
     }
 
-    /// Quantize `x` through the format: encode then decode.
+    /// Quantize `x` through the format: the value of
+    /// `decode(encode(x))`, computed without the code.
     ///
     /// This is the "cast to FP8 and back" primitive used throughout the
-    /// quantization and training experiments.
+    /// quantization and training experiments. It rounds the `f64` in
+    /// place. In the normal binades it rounds the fraction field half to
+    /// even in the integer domain, as
+    /// [`round_to_mantissa_bits`](crate::fp22::round_to_mantissa_bits)
+    /// does, then saturates at [`max_finite`](Self::max_finite). Below
+    /// them the grid is the one quantum [`min_subnormal`](Self::min_subnormal):
+    /// adding `2^52` quanta makes the FPU round to it, and subtracting
+    /// them again is exact. The sign is kept, so a negative value that
+    /// rounds to zero gives `-0.0`. Any NaN gives the canonical
+    /// [`f64::NAN`], and ±∞ stays ±∞ or, in a
+    /// [`finite_only`](Self::finite_only) format, saturates.
     #[must_use]
+    #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
-        self.decode(self.encode(x))
+        const SIGN: u64 = 1 << 63;
+        const INFINITY: u64 = 0x7ff << 52;
+        let bits = x.to_bits();
+        let mag = bits & !SIGN;
+        let man_bits = self.man_bits as i32;
+        // The grid's smallest normal and largest finite magnitudes, as
+        // `f64` bit patterns: positive floats order as their bits do.
+        let min_normal = ((1 - self.bias() + 1023) as u64) << 52;
+        let max_finite = ((self.max_biased_exp() - self.bias() + 1023) as u64) << 52
+            | u64::from(self.max_finite_pattern() & ((1 << man_bits) - 1)) << (52 - man_bits);
+        let rounded = if mag >= INFINITY {
+            if mag > INFINITY {
+                return f64::NAN;
+            }
+            if self.finite_only {
+                max_finite
+            } else {
+                mag
+            }
+        } else if mag >= min_normal {
+            let drop = 52 - man_bits;
+            let odd = (mag >> drop) & 1;
+            ((mag + (1 << (drop - 1)) - 1 + odd) & !((1 << drop) - 1)).min(max_finite)
+        } else {
+            let quanta = pow2(1 - self.bias() - man_bits + 52);
+            ((f64::from_bits(mag) + quanta) - quanta).to_bits()
+        };
+        f64::from_bits(bits & SIGN | rounded)
     }
 
     /// Number of finite representable values (for diagnostics).

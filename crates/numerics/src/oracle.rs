@@ -3,7 +3,10 @@
 //! the fast paths to them bit for bit. The code is the replaced code with
 //! two changes: `Fp22` additions are spelled out as
 //! [`round_to_mantissa_bits`] calls, and [`encode`] saturates ±∞ in
-//! finite-only formats (it used to overflow).
+//! finite-only formats (it used to overflow). [`quantize`] is the
+//! `decode(encode(x))` composition that the fused `Format::quantize`
+//! replaced, and [`gemm_execute`] the column-at-a-time float GEMM that the
+//! integer one replaced.
 //!
 //! The oracle computes `2^e` with `2f64.powi(e)`, which underflows to 0
 //! below `e = -1023`. So it is wrong where that matters: `exponent_of`
@@ -136,6 +139,12 @@ fn round_ties_even(x: f64) -> u64 {
     } else {
         f
     }
+}
+
+/// Quantize `x` through `f`: encode, then decode. It uses the format's own
+/// codec, which the tests below pin to [`encode`] and [`decode`].
+pub fn quantize(f: &Format, x: f64) -> f64 {
+    f.decode(f.encode(x))
 }
 
 /// Decode a code of `f` to `f64`.
@@ -281,9 +290,46 @@ mod tests {
         }
     }
 
-    /// The encode probes around `v`: itself and its f64 neighbours.
+    /// `v` and its f64 neighbours.
     fn around(v: f64) -> [f64; 3] {
         [v, v.next_up(), v.next_down()]
+    }
+
+    /// Nonnegative probes for `f`'s codec: every finite code and its f64
+    /// neighbours, every midpoint between codes and its neighbours, the
+    /// midpoint past `max_finite`, and the extremes and special values of
+    /// `f64`, NaN payloads included. Each is also checked negated.
+    fn probes(f: &Format) -> Vec<f64> {
+        // Nonnegative finite values in code order (codes are monotone).
+        let values: Vec<f64> = (0..1u32 << (f.total_bits() - 1))
+            .map(|c| f.decode(c))
+            .filter(|v| v.is_finite())
+            .collect();
+        let mut probes: Vec<f64> = values
+            .windows(2)
+            .flat_map(|pair| around(pair[0]).into_iter().chain(around((pair[0] + pair[1]) / 2.0)))
+            .collect();
+        let max = f.max_finite();
+        let past_max = max + (max - values[values.len() - 2]) / 2.0;
+        probes.extend(around(max).into_iter().chain(around(past_max)));
+        probes.extend([
+            max * 1.03,
+            max * 2.0,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::from_bits(1 << 40),
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7ff4_0000_dead_beef),
+            f64::from_bits(u64::MAX >> 1),
+        ]);
+        probes
     }
 
     fn check_encode(f: &Format, x: f64) {
@@ -292,40 +338,48 @@ mod tests {
         assert!(fast < 1 << f.total_bits(), "{f:?} encode({x:e}) = {fast:#x} is too wide");
     }
 
+    fn check_quantize(f: &Format, x: f64) {
+        let (fast, slow) = (f.quantize(x), quantize(f, x));
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "{f:?} quantize({x:e}) [bits {:#018x}]: {fast:e} vs {slow:e}",
+            x.to_bits()
+        );
+    }
+
     #[test]
     fn encode_matches_at_codes_midpoints_and_extremes() {
         for f in FORMATS {
-            // Nonnegative finite values in code order (codes are monotone).
-            let values: Vec<f64> = (0..1u32 << (f.total_bits() - 1))
-                .map(|c| f.decode(c))
-                .filter(|v| v.is_finite())
-                .collect();
-            for pair in values.windows(2) {
-                let mid = (pair[0] + pair[1]) / 2.0;
-                for x in around(pair[0]).into_iter().chain(around(mid)) {
-                    check_encode(&f, x);
-                    check_encode(&f, -x);
-                }
-            }
-            let max = f.max_finite();
-            let extremes = [
-                max,
-                max.next_up(),
-                max * 1.03,
-                max * 2.0,
-                1e300,
-                f64::MAX,
-                f64::MIN_POSITIVE,
-                f64::MIN_POSITIVE.next_down(),
-                f64::MIN_POSITIVE / 3.0,
-                f64::from_bits(1),
-                0.0,
-                f64::INFINITY,
-                f64::NAN,
-            ];
-            for x in extremes {
+            for x in probes(&f) {
                 check_encode(&f, x);
                 check_encode(&f, -x);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_at_codes_midpoints_and_extremes() {
+        for f in FORMATS {
+            for x in probes(&f) {
+                check_quantize(&f, x);
+                check_quantize(&f, -x);
+            }
+        }
+    }
+
+    /// Every `f32`, as `f64`, through BF16 and E4M3: about 4.3 billion
+    /// inputs per format. Run it with
+    /// `cargo test --release -p dsv3-numerics -- --ignored every_f32`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; takes minutes in release"]
+    fn quantize_matches_on_every_f32() {
+        for f in [Format::BF16, Format::E4M3] {
+            for bits in 0..=u32::MAX {
+                let x = f64::from(f32::from_bits(bits));
+                if f.quantize(x).to_bits() != quantize(&f, x).to_bits() {
+                    check_quantize(&f, x);
+                }
             }
         }
     }
@@ -425,6 +479,16 @@ mod tests {
         }
 
         #[test]
+        fn quantize_matches_on_random_bit_patterns(bits in 0u64..=u64::MAX, x in arbitrary_f64()) {
+            for f in FORMATS {
+                for x in [f64::from_bits(bits), x] {
+                    let (fast, slow) = (f.quantize(x), quantize(&f, x));
+                    prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{:?} quantize({:e})", f, x);
+                }
+            }
+        }
+
+        #[test]
         fn align_truncate_sum_matches_on_fp8_products(
             products in prop::collection::vec(fp8_product(), 1..=MMA_K),
         ) {
@@ -455,22 +519,49 @@ mod tests {
     const ACCUMULATORS: [MainAccumulator; 3] =
         [MainAccumulator::Fp32, MainAccumulator::Fp22, MainAccumulator::Exact];
 
-    fn check_gemm_fp8(a: &Matrix, b: &Matrix) -> Result<(), TestCaseError> {
+    /// The formats `Fp8Gemm` takes and the chunks it is checked at.
+    const GEMM_FORMATS: [Format; 2] = [Format::E4M3, Format::E5M2];
+    const CHUNKS: [usize; 4] = [32, 64, 128, 256];
+
+    /// Prepare `a × b` under every main accumulator, apply `edit` to the
+    /// prepared operands, and compare `execute` with the oracle. Any NaN
+    /// matches any NaN (see [`same`]).
+    fn check_gemm_with(
+        a: &Matrix,
+        b: &Matrix,
+        format: Format,
+        chunk: usize,
+        edit: impl Fn(&mut Fp8Gemm),
+    ) -> Result<(), TestCaseError> {
         for main_acc in ACCUMULATORS {
-            let cfg = Fp8GemmConfig { main_acc, ..Fp8GemmConfig::default() };
-            let g = Fp8Gemm::prepare(a, b, cfg);
+            let cfg = Fp8GemmConfig { format, chunk, main_acc };
+            let mut g = Fp8Gemm::prepare(a, b, cfg);
+            edit(&mut g);
             let (fast, slow) = (g.execute(), gemm_execute(&g.a, &g.b, cfg));
-            prop_assert_eq!(
-                bits(&fast),
-                bits(&slow),
-                "{:?} {}x{}x{}",
+            let same_f32 = |(x, y): (&f32, &f32)| same(f64::from(*x), f64::from(*y));
+            prop_assert!(
+                fast.data.iter().zip(&slow.data).all(same_f32),
+                "{:?} {:?} chunk {} {}x{}x{}: {:?} vs {:?}",
+                format,
                 main_acc,
+                chunk,
                 a.rows,
                 a.cols,
-                b.cols
+                b.cols,
+                bits(&fast),
+                bits(&slow)
             );
         }
         Ok(())
+    }
+
+    fn check_gemm(
+        a: &Matrix,
+        b: &Matrix,
+        format: Format,
+        chunk: usize,
+    ) -> Result<(), TestCaseError> {
+        check_gemm_with(a, b, format, chunk, |_| {})
     }
 
     proptest! {
@@ -483,16 +574,18 @@ mod tests {
             n in 1usize..6,
             seed in 0u64..1000,
             zero_every in 2usize..9,
+            format in 0usize..2,
+            chunk in 0usize..4,
         ) {
             let mut a = Matrix::random(m, k, 1.0, seed);
             let b = Matrix::random(k, n, 1.0, seed + 1);
-            // ReLU-like zero runs give all-zero groups of 32.
+            // ReLU-like zero runs of both signs give all-zero groups of 32.
             for (idx, v) in a.data.iter_mut().enumerate() {
                 if (idx / 40) % zero_every == 0 {
-                    *v = 0.0;
+                    *v = if idx % 3 == 0 { -0.0 } else { 0.0 };
                 }
             }
-            check_gemm_fp8(&a, &b)?;
+            check_gemm(&a, &b, GEMM_FORMATS[format], CHUNKS[chunk])?;
         }
 
         #[test]
@@ -505,11 +598,123 @@ mod tests {
 
     #[test]
     fn gemm_fp8_matches_on_edge_shapes() {
-        // K < 32, K not a multiple of 128, n = 1, and a long K.
-        for (m, k, n) in [(2, 20, 3), (3, 200, 3), (4, 300, 1), (1, 1, 1), (2, 4096, 2)] {
-            let a = Matrix::random(m, k, 1.0, 7 + k as u64);
-            let b = Matrix::random(k, n, 1.0, 8 + k as u64);
-            check_gemm_fp8(&a, &b).unwrap();
+        // K < 32, K not a multiple of 32 or of the chunk, n = 1, and a
+        // long K, at every chunk and in both formats.
+        let shapes = [(2, 20, 3), (2, 31, 2), (3, 33, 2), (3, 200, 3), (4, 300, 1), (1, 1, 1)];
+        for format in GEMM_FORMATS {
+            for chunk in CHUNKS {
+                for (m, k, n) in shapes.into_iter().chain([(2, 4096, 2)]) {
+                    let a = Matrix::random(m, k, 1.0, 7 + k as u64);
+                    let b = Matrix::random(k, n, 1.0, 8 + k as u64);
+                    check_gemm(&a, &b, format, chunk).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_fp8_matches_on_non_finite_and_zero_inputs() {
+        let (m, k, n) = (3, 300, 4);
+        let mut a = Matrix::random(m, k, 1.0, 51);
+        let mut b = Matrix::random(k, n, 1.0, 52);
+        a.set(0, 5, f32::NAN);
+        a.set(1, 40, f32::INFINITY);
+        a.set(2, 200, f32::NEG_INFINITY);
+        b.set(70, 1, f32::NAN);
+        b.set(130, 2, f32::INFINITY);
+        // A 128-wide all-zero tile in row 1 and a negative-zero one in row 2.
+        a.row_mut(1)[128..256].fill(0.0);
+        a.row_mut(2)[128..256].fill(-0.0);
+        let zeros = Matrix::zeros(k, n);
+        let negative_zeros = Matrix::from_vec(k, n, vec![-0.0; k * n]);
+        for format in GEMM_FORMATS {
+            for chunk in CHUNKS {
+                check_gemm(&a, &b, format, chunk).unwrap();
+                check_gemm(&a, &zeros, format, chunk).unwrap();
+                check_gemm(&a, &negative_zeros, format, chunk).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_fp8_matches_with_codes_off_the_integer_grid() {
+        // Codes `prepare` never makes: non-finite ones, a value between
+        // codes, one too large for 32-bit units, and a pair whose unit
+        // counts are whole but whose significands are too wide for the
+        // format: their `f64` product rounds up to 2^62 units, a binade
+        // above the exact one.
+        let (m, k, n) = (2, 100, 3);
+        let a = Matrix::random(m, k, 1.0, 61);
+        let b = Matrix::random(k, n, 1.0, 62);
+        for format in GEMM_FORMATS {
+            let wide = |units: u32| f64::from(units) * format.min_subnormal();
+            for chunk in CHUNKS {
+                check_gemm_with(&a, &b, format, chunk, |g| {
+                    g.a.codes[k + 3] = f64::NAN;
+                    g.a.codes[k + 50] = f64::INFINITY;
+                    g.b.codes[10 * n + 2] = f64::NEG_INFINITY;
+                    g.b.codes[40 * n + 1] = 0.3;
+                    g.a.codes[70] = 1e10;
+                    g.a.codes[20] = wide((1 << 31) + 1);
+                    g.b.codes[20 * n] = -wide((1 << 31) - 1);
+                })
+                .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "8-bit")]
+    fn gemm_fp8_rejects_wider_formats() {
+        let (a, b) = (Matrix::zeros(1, 32), Matrix::zeros(32, 1));
+        let _ = Fp8Gemm::prepare(
+            &a,
+            &b,
+            Fp8GemmConfig { format: Format::E5M6, ..Fp8GemmConfig::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit integer units")]
+    fn gemm_fp8_rejects_formats_too_wide_for_integer_units() {
+        // 8 bits, but its largest value is 3·2^61 smallest subnormals.
+        let e6m1 = Format { exp_bits: 6, man_bits: 1, finite_only: false };
+        let (a, b) = (Matrix::zeros(1, 32), Matrix::zeros(32, 1));
+        let _ =
+            Fp8Gemm::prepare(&a, &b, Fp8GemmConfig { format: e6m1, ..Fp8GemmConfig::default() });
+    }
+
+    #[test]
+    fn align_truncate_sum_units_matches_on_fp8_codes() {
+        // Groups of 32 E4M3 or E5M2 codes sweeping every code: the integer
+        // sum of their unit products equals the float sum of the products.
+        for f in GEMM_FORMATS {
+            let code = |c: u32| {
+                let v = f.decode(c % 256);
+                if v.is_finite() {
+                    v
+                } else {
+                    f.max_finite()
+                }
+            };
+            let per_code = 1.0 / f.min_subnormal();
+            let unit_exp = 2 * fp22::exponent_of(f.min_subnormal());
+            for first in 0..256u32 {
+                let pairs: Vec<(f64, f64)> =
+                    (0..32u32).map(|k| (code(first + 3 * k), code(first * 7 + 37 * k))).collect();
+                let units = |v: f64| (v.abs() * per_code) as u32;
+                let a: Vec<u32> = pairs.iter().map(|p| units(p.0)).collect();
+                let b: Vec<u32> = pairs.iter().map(|p| units(p.1)).collect();
+                let negative = pairs.iter().enumerate().fold(0, |m, (k, (x, y))| {
+                    m | u32::from(x.is_sign_negative() != y.is_sign_negative()) << k
+                });
+                let products: Vec<f64> = pairs.iter().map(|(x, y)| x * y).collect();
+                let fast = tensorcore::align_truncate_sum_units(&a, &b, negative, unit_exp);
+                let slow = tensorcore::align_truncate_sum(&products);
+                // Equal as numbers: an all-zero group may sum to -0.0 in
+                // floats, and adds nothing to a partial either way.
+                assert_eq!(fast, slow, "{f:?} {pairs:?}");
+            }
         }
     }
 }

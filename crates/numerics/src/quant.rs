@@ -4,6 +4,8 @@
 //! Each tile/block is scaled so its absolute maximum maps to the format's
 //! largest finite value, then cast element-wise. This is exactly the
 //! quantization recipe DeepSeek-V3 trains with (and DeepGEMM executes).
+//! The quantizers walk the matrix row slice by row slice and cast each
+//! element with [`Format::quantize`] of `x / scale`.
 
 use crate::matrix::Matrix;
 use crate::minifloat::Format;
@@ -58,15 +60,13 @@ impl TileQuantized {
         let mut codes = vec![0f64; m.rows * m.cols];
         let mut scales = vec![1f64; m.rows * n_tiles];
         let fmax = format.max_finite();
-        for r in 0..m.rows {
-            for t in 0..n_tiles {
-                let c0 = t * tile;
-                let c1 = (c0 + tile).min(m.cols);
-                let amax = (c0..c1).map(|c| m.get(r, c).abs() as f64).fold(0.0, f64::max);
-                let scale = if amax > 0.0 { amax / fmax } else { 1.0 };
-                scales[r * n_tiles + t] = scale;
-                for c in c0..c1 {
-                    codes[r * m.cols + c] = format.quantize(f64::from(m.get(r, c)) / scale);
+        if m.cols > 0 {
+            let rows = m.data.chunks_exact(m.cols).zip(codes.chunks_exact_mut(m.cols));
+            for ((row, out), row_scales) in rows.zip(scales.chunks_exact_mut(n_tiles)) {
+                let tiles = row.chunks(tile).zip(out.chunks_mut(tile));
+                for ((xs, qs), scale) in tiles.zip(row_scales) {
+                    *scale = scale_for(amax(xs), fmax);
+                    quantize_into(xs, *scale, format, qs);
                 }
             }
         }
@@ -131,21 +131,25 @@ impl BlockQuantized {
         let mut codes = vec![0f64; m.rows * m.cols];
         let mut scales = vec![1f64; rb * cb];
         let fmax = format.max_finite();
-        for br in 0..rb {
-            for bc in 0..cb {
-                let r1 = ((br + 1) * block).min(m.rows);
-                let c1 = ((bc + 1) * block).min(m.cols);
-                let mut amax = 0f64;
-                for r in br * block..r1 {
-                    for c in bc * block..c1 {
-                        amax = amax.max(m.get(r, c).abs() as f64);
+        let mut block_amax = vec![0f64; cb];
+        if m.cols > 0 {
+            let row_blocks = m.data.chunks(block * m.cols).zip(codes.chunks_mut(block * m.cols));
+            for ((xs, qs), block_scales) in row_blocks.zip(scales.chunks_exact_mut(cb)) {
+                // One pass over the block row for the amax of each block,
+                // then one to quantize.
+                block_amax.fill(0.0);
+                for row in xs.chunks_exact(m.cols) {
+                    for (a, chunk) in block_amax.iter_mut().zip(row.chunks(block)) {
+                        *a = a.max(amax(chunk));
                     }
                 }
-                let scale = if amax > 0.0 { amax / fmax } else { 1.0 };
-                scales[br * cb + bc] = scale;
-                for r in br * block..r1 {
-                    for c in bc * block..c1 {
-                        codes[r * m.cols + c] = format.quantize(f64::from(m.get(r, c)) / scale);
+                for (s, &a) in block_scales.iter_mut().zip(&block_amax) {
+                    *s = scale_for(a, fmax);
+                }
+                for (row, out) in xs.chunks_exact(m.cols).zip(qs.chunks_exact_mut(m.cols)) {
+                    let blocks = row.chunks(block).zip(out.chunks_mut(block));
+                    for ((x, q), &scale) in blocks.zip(block_scales.iter()) {
+                        quantize_into(x, scale, format, q);
                     }
                 }
             }
@@ -183,13 +187,33 @@ impl BlockQuantized {
 /// This is the baseline fine-grained quantization is compared against.
 #[must_use]
 pub fn quantize_per_tensor(m: &Matrix, format: Format) -> Matrix {
-    let amax = m.data.iter().map(|v| v.abs() as f64).fold(0.0, f64::max);
-    let scale = if amax > 0.0 { amax / format.max_finite() } else { 1.0 };
+    let scale = scale_for(amax(&m.data), format.max_finite());
     let mut out = Matrix::zeros(m.rows, m.cols);
     for (o, &v) in out.data.iter_mut().zip(&m.data) {
         *o = (format.quantize(f64::from(v) / scale) * scale) as f32;
     }
     out
+}
+
+/// The largest magnitude in `xs` (0 if empty; NaN is skipped).
+fn amax(xs: &[f32]) -> f64 {
+    xs.iter().fold(0f64, |a, v| a.max(f64::from(v.abs())))
+}
+
+/// The scale that maps `amax` to `fmax` (1 for an all-zero group).
+fn scale_for(amax: f64, fmax: f64) -> f64 {
+    if amax > 0.0 {
+        amax / fmax
+    } else {
+        1.0
+    }
+}
+
+/// Quantize `xs / scale` element-wise into `out`.
+fn quantize_into(xs: &[f32], scale: f64, format: Format, out: &mut [f64]) {
+    for (q, &x) in out.iter_mut().zip(xs) {
+        *q = format.quantize(f64::from(x) / scale);
+    }
 }
 
 #[cfg(test)]

@@ -75,6 +75,46 @@ pub fn align_truncate_sum(products: &[f64]) -> f64 {
     units as f64 * pow2(max_e - BITS)
 }
 
+/// [`align_truncate_sum`] over integer operands: the products of
+/// `a[k] · b[k]` units, with bit `k` of `negative` set when product `k`
+/// is negative, and one unit worth `2^unit_exp`.
+///
+/// Each product is an exact `u64`, so the largest exponent is the top
+/// bit of their OR, and truncation to 13 fraction bits below it is one
+/// right shift of every magnitude. The signed sum of the shifted terms
+/// (each below 2^14) is scaled once. For operands that are the unit
+/// counts of FP8 codes this equals [`align_truncate_sum`] of the codes'
+/// `f64` products, bit for bit: both compute the same exact value.
+#[must_use]
+pub(crate) fn align_truncate_sum_units(a: &[u32], b: &[u32], negative: u32, unit_exp: i32) -> f64 {
+    debug_assert!(a.len() == b.len() && a.len() <= MMA_K);
+    // Bit `k` of a group, from a table rather than a shift by `k`, so the
+    // sign flips compile to vector compares.
+    const BIT: [u32; MMA_K] = {
+        let mut bit = [0; MMA_K];
+        let mut k = 0;
+        while k < MMA_K {
+            bit[k] = 1 << k;
+            k += 1;
+        }
+        bit
+    };
+    let product = |(&a, &b): (&u32, &u32)| u64::from(a) * u64::from(b);
+    let or = a.iter().zip(b).map(product).fold(0, |or, p| or | p);
+    // Bits above the 14 that 13 fraction bits below the top one keep.
+    let shift = (u64::BITS - or.leading_zeros()).saturating_sub(FP22_MANTISSA_BITS + 1);
+    let units: i32 = a
+        .iter()
+        .zip(b)
+        .zip(&BIT)
+        .map(|(ab, &bit)| {
+            let flip = -i32::from(negative & bit != 0);
+            ((product(ab) >> shift) as i32 ^ flip) - flip
+        })
+        .sum();
+    f64::from(units) * pow2(unit_exp + shift as i32)
+}
+
 /// [`align_truncate_sum`] term by term in floating point, for the groups
 /// the integer path does not cover. Non-finite products pass through and
 /// propagate; an all-zero group sums its signed zeros.

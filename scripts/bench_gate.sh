@@ -75,6 +75,14 @@ run)
   # `cargo bench -p dsv3-bench --bench <name>` directly to refresh it.
   trap 'cp "$stash" "$artifact"; rm -f "$stash"' EXIT
   cargo bench --offline -p dsv3-bench --bench "$bench"
+  # A fresh run's timings never repeat byte for byte. An unchanged file
+  # means the bench wrote its artifact somewhere else (its root is fixed
+  # at compile time, so a copied tree can write into the original), and
+  # comparing the checked-in file with itself would pass.
+  if cmp -s "$stash" "$artifact"; then
+    echo "bench_gate: FAIL $artifact is byte-identical after the run; the bench wrote elsewhere" >&2
+    exit 1
+  fi
   compare "$stash" "$artifact"
   ;;
 *)
