@@ -5,9 +5,8 @@
 //! models and reports a relative loss gap below 0.25%, attributing the
 //! result to fine-grained quantization and high-precision accumulation. We
 //! reproduce the *mechanism* at laptop scale: a two-layer MLP regression
-//! task whose input features span several orders of magnitude (the outlier
-//! structure that motivates 1×128 tiles), trained with every GEMM routed
-//! through one of four precision backends:
+//! task on unit-scale random inputs, trained with every GEMM routed through
+//! one of four precision backends:
 //!
 //! * [`Precision::F32`] — float32 reference.
 //! * [`Precision::Bf16`] — operands rounded to BF16.
@@ -96,34 +95,28 @@ pub struct TrainReport {
     pub losses: Vec<f64>,
 }
 
-/// The synthetic regression task: inputs whose feature scales span several
-/// orders of magnitude, targets from a fixed random teacher MLP.
+/// The synthetic regression task: unit-scale random inputs, targets from a
+/// fixed random teacher MLP.
 struct Task {
     teacher_w1: Matrix,
     teacher_w2: Matrix,
-    feature_scale: Vec<f32>,
     cfg: TrainConfig,
 }
 
 impl Task {
     fn new(cfg: TrainConfig) -> Self {
-        let feature_scale: Vec<f32> = vec![1.0; cfg.input_dim];
         let teacher_w1 = Matrix::random(cfg.input_dim, cfg.hidden_dim, 0.5, cfg.seed ^ 0xA);
         let teacher_w2 = Matrix::random(cfg.hidden_dim, cfg.output_dim, 0.5, cfg.seed ^ 0xB);
-        Self { teacher_w1, teacher_w2, feature_scale, cfg }
+        Self { teacher_w1, teacher_w2, cfg }
     }
 
     fn batch(&self, index: u64) -> (Matrix, Matrix) {
-        let mut x = Matrix::random(
+        let x = Matrix::random(
             self.cfg.batch,
             self.cfg.input_dim,
             1.0,
             self.cfg.seed ^ (index * 2 + 1),
         );
-        // Rows are `input_dim` long, as `feature_scale` is.
-        for (v, s) in x.data.iter_mut().zip(self.feature_scale.iter().cycle()) {
-            *v *= s;
-        }
         let y = relu(&x.matmul(&self.teacher_w1)).matmul(&self.teacher_w2);
         (x, y)
     }
@@ -176,9 +169,8 @@ impl Adam {
 /// Train the student MLP with the given precision backend.
 ///
 /// Master weights and optimizer (Adam) state stay in f32/f64, as in the
-/// paper's framework — only GEMMs run through the backend. Adam's
-/// per-parameter scaling absorbs the deliberately ill-conditioned feature
-/// scales so the comparison isolates quantization effects.
+/// paper's framework — only GEMMs run through the backend, so the
+/// comparison isolates quantization effects.
 #[must_use]
 pub fn train(precision: Precision, cfg: TrainConfig) -> TrainReport {
     let task = Task::new(cfg);

@@ -27,7 +27,9 @@
 //! [`crate::FlowSim`] is its single-path front, run with an empty schedule
 //! under [`ReroutePolicy::Stall`], so the two agree by construction. The
 //! loop drives the incremental max-min solver ([`crate::maxmin`]); the
-//! `#[cfg(test)]` oracle checks it against a global re-solve.
+//! `#[cfg(test)]` oracle checks it against a global re-solve. Its
+//! per-event passes touch only live flows: the waiting ones by id and the
+//! active ones through dense per-slot counters.
 
 use crate::maxmin::{MaxMinSolver, SolverWork};
 use crate::sim::{Link, LinkId};
@@ -401,7 +403,10 @@ pub(crate) struct ChaosFlowSpec {
     latency_us: f64,
 }
 
-/// Per-flow mutable run state.
+/// Per-flow mutable run state. While a flow is active its byte counters
+/// live in the loop's [`ActiveSet`] (with the current attempt's progress,
+/// which only an active flow has), and are written back here when it
+/// stops.
 #[derive(Debug, Clone)]
 pub(crate) struct Rt {
     phase: Phase,
@@ -410,7 +415,6 @@ pub(crate) struct Rt {
     /// Path index at the moment of the last interruption.
     path_at_fail: usize,
     remaining: f64,
-    attempt_sent: f64,
     sent: f64,
     lost: f64,
     retries: u32,
@@ -445,7 +449,6 @@ impl Rt {
             self.reroutes += 1;
         }
         self.current = idx;
-        self.attempt_sent = 0.0;
         self.phase = Phase::Active;
     }
 
@@ -460,6 +463,117 @@ impl Rt {
             let wait = rc.detect_timeout_us + rc.backoff_delay_us(self.retries);
             Phase::Waiting { until: now + wait, pick: true }
         };
+    }
+}
+
+/// The active flows' hot state in dense arrays, one slot per flow: the
+/// per-event passes stream over these instead of every flow's [`Rt`].
+/// Slot order is immaterial: every per-flow update is independent, and
+/// the next-completion minimum does not depend on order.
+#[derive(Debug)]
+struct ActiveSet {
+    flow: Vec<FlowId>,
+    remaining: Vec<f64>,
+    /// Bytes sent in the current attempt.
+    attempt_sent: Vec<f64>,
+    sent: Vec<f64>,
+    /// Rate of each slot as of the last solve.
+    rate: Vec<f64>,
+}
+
+impl ActiveSet {
+    /// An empty set with room for `flows` slots.
+    fn new(flows: usize) -> Self {
+        Self {
+            flow: Vec::with_capacity(flows),
+            remaining: Vec::with_capacity(flows),
+            attempt_sent: Vec::with_capacity(flows),
+            sent: Vec::with_capacity(flows),
+            rate: Vec::with_capacity(flows),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.flow.len()
+    }
+
+    /// Add flow `f`, which just started an attempt, with its counters.
+    fn push(&mut self, f: FlowId, r: &Rt) {
+        self.flow.push(f);
+        self.remaining.push(r.remaining);
+        self.attempt_sent.push(0.0);
+        self.sent.push(r.sent);
+        self.rate.push(0.0);
+    }
+
+    /// Write slot `i`'s counters back to its flow's `r`.
+    fn store(&self, i: usize, r: &mut Rt) {
+        r.remaining = self.remaining[i];
+        r.sent = self.sent[i];
+    }
+
+    /// Drop the slots in `gone` (ascending); the last slots move into
+    /// their places.
+    fn remove(&mut self, gone: &[usize]) {
+        for &i in gone.iter().rev() {
+            self.flow.swap_remove(i);
+            self.remaining.swap_remove(i);
+            self.attempt_sent.swap_remove(i);
+            self.sent.swap_remove(i);
+            self.rate.swap_remove(i);
+        }
+    }
+
+    /// Load every slot's rate from the solver's per-flow `rates` and
+    /// return the earliest completion instant after `now` (`INFINITY` if
+    /// no flow moves). The minimum runs in four independent lanes, which
+    /// vectorise; it is the same value in any order.
+    fn next_done(&mut self, rates: &[f64], now: f64) -> f64 {
+        let n = self.len();
+        let (rate, remaining) = (&mut self.rate[..n], &self.remaining[..n]);
+        for (r, &f) in rate.iter_mut().zip(&self.flow) {
+            *r = rates[f];
+        }
+        // Branch-free: the quotient of a stalled flow is computed and
+        // dropped.
+        let done_at = |rate: f64, remaining: f64| {
+            // 1 GB/s = 1e9 B / 1e6 µs = 1000 B/µs.
+            let at = now + remaining / (rate * 1000.0);
+            if rate > 0.0 {
+                at
+            } else {
+                f64::INFINITY
+            }
+        };
+        let (rate4, rate_tail) = rate.as_chunks::<4>();
+        let (remaining4, remaining_tail) = remaining.as_chunks::<4>();
+        let mut lanes = [f64::INFINITY; 4];
+        for (r, m) in rate4.iter().zip(remaining4) {
+            lanes = std::array::from_fn(|k| lanes[k].min(done_at(r[k], m[k])));
+        }
+        for (&r, &m) in rate_tail.iter().zip(remaining_tail) {
+            lanes[0] = lanes[0].min(done_at(r, m));
+        }
+        lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]))
+    }
+
+    /// Move every flow on for `dt` at its rate; `done` receives the slots
+    /// (ascending) whose flows finish.
+    fn advance(&mut self, dt: f64, done: &mut Vec<usize>) {
+        let n = self.len();
+        let rate = &self.rate[..n];
+        let remaining = &mut self.remaining[..n];
+        let attempt_sent = &mut self.attempt_sent[..n];
+        let sent = &mut self.sent[..n];
+        for i in 0..n {
+            let moved = rate[i] * 1000.0 * dt;
+            remaining[i] = (remaining[i] - moved).max(0.0);
+            attempt_sent[i] += moved;
+            sent[i] += moved;
+            if remaining[i] <= EPS.max(1e-6 * moved) {
+                done.push(i);
+            }
+        }
     }
 }
 
@@ -621,7 +735,6 @@ impl ChaosSim {
                 current: 0,
                 path_at_fail: 0,
                 remaining: spec.bytes,
-                attempt_sent: 0.0,
                 sent: 0.0,
                 lost: 0.0,
                 retries: 0,
@@ -632,33 +745,45 @@ impl ChaosSim {
         let adaptive = cfg.policy == ReroutePolicy::Adaptive;
         let mut link_load = vec![0u32; if adaptive { self.links.len() } else { 0 }];
         // Step 1 has work only under a deadline, a failure schedule or
-        // adaptive placement; without them (every `FlowSim` run) its
-        // per-event pass over all flows is skipped.
+        // adaptive placement; without them (every `FlowSim` run) it is
+        // skipped.
         let step1_has_work = adaptive || cfg.deadline_us.is_some() || !cfg.schedule.is_empty();
-        let mut active: Vec<FlowId> = Vec::new();
+        let deadline = |f: FlowId| cfg.deadline_us.map(|d| self.flows[f].start_us + d);
+        // A live flow is waiting (listed by ascending id) or active; all
+        // start waiting.
+        let mut waiting: Vec<FlowId> = (0..self.flows.len()).collect();
+        let mut active = ActiveSet::new(self.flows.len());
+        // Slots leaving the active set at this step.
+        let mut gone: Vec<usize> = Vec::new();
         let mut now = 0f64;
         loop {
-            // 1. Per flow: a live flow past `start + deadline` is stranded at
-            // exactly its deadline instant, and an active flow whose current
+            // 1. Per live flow: one past `start + deadline` is stranded at
+            // exactly its deadline instant, and an active one whose current
             // path just lost a link is interrupted: one in-flight window of
             // the attempt's progress is lost and queued for retransmission,
             // and the flow backs off (or strands). Link load counts the flows
             // still active after that.
             if step1_has_work {
                 link_load.fill(0);
-                for (f, r) in rt.iter_mut().enumerate() {
-                    let spec = &self.flows[f];
-                    if let Some(d) = cfg.deadline_us {
-                        let dl = spec.start_us + d;
-                        if r.is_live() && dl <= now + EPS {
-                            solver.deactivate(f);
-                            r.phase = Phase::Stranded { at_us: dl.max(spec.start_us) };
-                        }
+                waiting.retain(|&f| match deadline(f) {
+                    Some(dl) if dl <= now + EPS => {
+                        rt[f].phase = Phase::Stranded { at_us: dl.max(self.flows[f].start_us) };
+                        false
                     }
-                    if r.phase != Phase::Active {
+                    _ => true,
+                });
+                gone.clear();
+                for i in 0..active.len() {
+                    let f = active.flow[i];
+                    let r = &mut rt[f];
+                    if let Some(dl) = deadline(f).filter(|&dl| dl <= now + EPS) {
+                        active.store(i, r);
+                        solver.deactivate(f);
+                        r.phase = Phase::Stranded { at_us: dl.max(self.flows[f].start_us) };
+                        gone.push(i);
                         continue;
                     }
-                    let path = &spec.paths[r.current];
+                    let path = &self.flows[f].paths[r.current];
                     if cfg.schedule.path_healthy_at(path, now) {
                         if adaptive {
                             for &l in path {
@@ -667,27 +792,37 @@ impl ChaosSim {
                         }
                         continue;
                     }
+                    active.store(i, r);
                     solver.deactivate(f);
-                    let lost = cfg.retransmit.inflight_window_bytes.min(r.attempt_sent);
+                    gone.push(i);
+                    let lost = cfg.retransmit.inflight_window_bytes.min(active.attempt_sent[i]);
                     r.remaining += lost;
                     r.lost += lost;
-                    r.attempt_sent = 0.0;
                     r.path_at_fail = r.current;
                     r.fail_attempt(&cfg.retransmit, now);
+                    if r.is_live() {
+                        waiting.push(f);
+                    }
+                }
+                active.remove(&gone);
+                if !waiting.is_sorted() {
+                    waiting.sort_unstable();
                 }
             }
-            // 2. Per flow, in id order: resume a due waiting flow under the
+            // 2. Per waiting flow, in id order: resume a due one under the
             // reroute policy (adaptive placement sees the load of the flows
             // resumed before it, so simultaneous resumes spread out
-            // deterministically), finish zero-work flows (pure-latency
-            // messages) at once, and collect the active set and the wake
+            // deterministically) and finish zero-work flows (pure-latency
+            // messages) at once. A resumed flow has a healthy path and a
+            // deadline after `now`, so nothing stops it before this event's
+            // solve, and it joins the solver at once. Then collect the wake
             // candidates: waiting resumes, schedule change points and
             // live-flow deadlines.
             let mut finished_any = false;
             let mut next_wake =
                 change_points.iter().copied().find(|&cp| cp > now + EPS).unwrap_or(f64::INFINITY);
-            active.clear();
-            for (f, r) in rt.iter_mut().enumerate() {
+            waiting.retain(|&f| {
+                let r = &mut rt[f];
                 if matches!(r.phase, Phase::Waiting { until, .. } if until <= now + EPS) {
                     self.resume(cfg, f, r, now, &mut link_load);
                 }
@@ -696,14 +831,23 @@ impl ChaosSim {
                         r.remaining = 0.0;
                         r.phase = Phase::Done { at_us: now + self.flows[f].latency_us };
                         finished_any = true;
+                        false
                     }
-                    Phase::Active => active.push(f),
-                    Phase::Waiting { until, .. } => next_wake = next_wake.min(until),
-                    Phase::Done { .. } | Phase::Stranded { .. } => {}
+                    Phase::Active => {
+                        active.push(f, r);
+                        solver.activate(f, &self.flows[f].paths[r.current]);
+                        false
+                    }
+                    Phase::Waiting { until, .. } => {
+                        next_wake = next_wake.min(until);
+                        true
+                    }
+                    Phase::Done { .. } | Phase::Stranded { .. } => false,
                 }
-                if let Some(d) = cfg.deadline_us {
-                    let dl = self.flows[f].start_us + d;
-                    if r.is_live() && dl > now + EPS {
+            });
+            if cfg.deadline_us.is_some() {
+                for &f in waiting.iter().chain(&active.flow) {
+                    if let Some(dl) = deadline(f).filter(|&dl| dl > now + EPS) {
                         next_wake = next_wake.min(dl);
                     }
                 }
@@ -711,7 +855,7 @@ impl ChaosSim {
             if finished_any {
                 continue;
             }
-            if active.is_empty() {
+            if active.len() == 0 {
                 if next_wake.is_finite() {
                     now = next_wake;
                     continue;
@@ -721,37 +865,22 @@ impl ChaosSim {
             // 3. Max-min rates over the active flows' current paths (the
             // incremental solver re-solves only the components an
             // activation or stop touched), then advance to the nearest
-            // horizon.
-            for &f in &active {
-                if !solver.is_active(f) {
-                    solver.activate(f, &self.flows[f].paths[rt[f].current]);
-                }
-            }
+            // horizon and drop the flows that finish there.
             solver.solve();
-            let mut next_done = f64::INFINITY;
-            for &f in &active {
-                let rate = solver.rate(f);
-                if rate > 0.0 {
-                    // 1 GB/s = 1e9 B / 1e6 µs = 1000 B/µs.
-                    let us = rt[f].remaining / (rate * 1000.0);
-                    next_done = next_done.min(now + us);
-                }
-            }
+            let next_done = active.next_done(solver.rates(), now);
             let horizon = next_done.min(next_wake);
             assert!(horizon.is_finite(), "simulation cannot progress (all rates zero)");
-            let dt = horizon - now;
-            for &f in &active {
-                let moved = solver.rate(f) * 1000.0 * dt;
+            gone.clear();
+            active.advance(horizon - now, &mut gone);
+            for &i in &gone {
+                let f = active.flow[i];
                 let r = &mut rt[f];
-                r.remaining = (r.remaining - moved).max(0.0);
-                r.attempt_sent += moved;
-                r.sent += moved;
-                if r.remaining <= EPS.max(1e-6 * moved) {
-                    r.remaining = 0.0;
-                    r.phase = Phase::Done { at_us: horizon + self.flows[f].latency_us };
-                    solver.deactivate(f);
-                }
+                active.store(i, r);
+                r.remaining = 0.0;
+                r.phase = Phase::Done { at_us: horizon + self.flows[f].latency_us };
+                solver.deactivate(f);
             }
+            active.remove(&gone);
             now = horizon;
         }
         // Safety net: flows left waiting on a never-healing path set (all
@@ -1252,6 +1381,34 @@ mod tests {
         assert!(r.retransmitted_bytes > 0.0, "flaps mid-transfer must cost bytes");
         let rerun = sim.run(&cfg);
         assert_eq!(r, rerun, "chaos runs are deterministic");
+    }
+
+    /// Flows interrupted together resume in flow-id order, whatever order
+    /// their active slots were in: flow 0's completion moves flow 2 into
+    /// the first slot, yet at the joint resume flow 1 picks first and takes
+    /// the idle path 0, so both flows change path.
+    #[test]
+    fn simultaneous_resumes_follow_flow_id_order() {
+        let mut sim = ChaosSim::new(links(&[100.0, 100.0]));
+        sim.add_flow(vec![vec![0], vec![1]], 1e5, 0.0, 0.0);
+        for _ in 0..2 {
+            sim.add_flow(vec![vec![0], vec![1]], 2e6, 0.0, 0.0);
+        }
+        let cfg = ChaosConfig {
+            schedule: LinkSchedule::fail_links(&[0, 1], 10.0, 5.0),
+            policy: ReroutePolicy::Adaptive,
+            retransmit: RetransmitConfig {
+                detect_timeout_us: 3.0,
+                backoff_base_us: 2.0,
+                ..RetransmitConfig::default()
+            },
+            deadline_us: None,
+        };
+        let r = sim.run(&cfg);
+        assert_eq!(r.completed, 3);
+        // Placed at t=0: flow 1 on path 1, flow 2 on path 0; both resume at 15.
+        assert_eq!((r.flows[1].final_path, r.flows[2].final_path), (0, 1));
+        assert_eq!(r.total_reroutes, 2);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! * [`chaos`] — the event loop itself ([`chaos::ChaosSim`]): ECMP path
 //!   sets, seeded link up/down schedules, reroute policies (stall / static
 //!   rehash / adaptive), and timeout + backoff retransmission (§5,
-//!   Figures 5–8). It drives one incremental max-min solver: bottlenecks
-//!   come from a heap, and an event re-solves only the connected
-//!   components of flows it touched, bit-identically to a global re-solve.
+//!   Figures 5–8). Its per-event passes stream over the active flows'
+//!   dense counters, and it drives one incremental max-min solver: an
+//!   event re-solves only the connected components of flows it touched,
+//!   each with an indexed heap that holds every link once at its current
+//!   fair share, bit-identically to a global re-solve.
 //! * [`latency`] — per-hop latency parameters calibrated so end-to-end 64B
 //!   latencies reproduce Table 5 (IB / RoCE / NVLink, same- and cross-leaf).
 //! * [`ordering`] — memory-semantic ordering: sender fences vs hardware

@@ -2,7 +2,7 @@
 //! of [`crate::chaos::ChaosSim`] (which [`crate::FlowSim`] runs too).
 //!
 //! The loop tells the solver which flows are active on which path
-//! ([`MaxMinSolver::activate`] / [`MaxMinSolver::deactivate`]) and call
+//! ([`MaxMinSolver::activate`] / [`MaxMinSolver::deactivate`]) and calls
 //! [`MaxMinSolver::solve`] before reading rates. A solve re-runs
 //! progressive filling only over the *connected components* (flows linked
 //! through shared links) that contain a link whose flow set changed since
@@ -23,36 +23,152 @@
 //! the same subtractions of that share in any order.
 //!
 //! **Bottleneck selection.** Instead of scanning every link per
-//! iteration, the lowest share comes from a binary min-heap keyed on
-//! `(share bits, link id)` with lazy invalidation: an entry is used only
-//! if it still matches its link's current share. Shares are non-negative
-//! and never NaN (capacities are validated `>= 0`, the update clamps at
-//! zero), so their bit patterns order like their values once `-0.0` is
-//! canonicalised to `+0.0`, and equal shares fall back to the lowest link
-//! id — exactly the strict-`<` scan's tie-break.
+//! iteration, the lowest share comes from an indexed binary min-heap
+//! ([`LinkHeap`]) that holds each link with unfrozen flows exactly once, at
+//! its *current* key `(share bits, link id)`, and keeps a position per
+//! link: when a bottleneck's flows freeze, every link they cross is
+//! re-keyed in place by a sift, and a link whose count drops to zero
+//! leaves the heap. Every pop is therefore a bottleneck step; there are no
+//! stale entries to skip. Shares are non-negative and never NaN
+//! (capacities are validated `>= 0`, the update clamps at zero), so their
+//! bit patterns order like their values once `-0.0` is canonicalised to
+//! `+0.0`, and equal shares fall back to the lowest link id — exactly the
+//! strict-`<` scan's tie-break. The heap's minimum is the minimum current
+//! key, which is what the scan finds and what the lazily invalidated heap
+//! this replaced found too (its lowest *valid* entry), so the bottleneck
+//! sequence is unchanged. Each dirty component is filled on its own, with
+//! only its links in the heap; by the argument above its bottleneck
+//! sequence is the one a joint fill takes restricted to it.
 //!
 //! The replaced global re-solve is kept as the `#[cfg(test)]` oracle in
 //! `oracle.rs`, against which differential tests compare rates and finish
 //! times by `to_bits`.
 
 use crate::sim::{Link, LinkId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Deterministic work done by a [`MaxMinSolver`]: how many solves did any
-/// filling, and how many flows they re-solved in total. A regression to
-/// global re-solves shows here exactly, without timing.
+/// Deterministic work done by a [`MaxMinSolver`]. A regression to global
+/// re-solves, or to a heap that pops stale entries, shows here exactly,
+/// without timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SolverWork {
+    /// Calls to [`MaxMinSolver::solve`]: one per event that advances time.
+    pub(crate) events: u64,
     /// Solves that re-ran progressive filling over at least one flow.
     pub(crate) solves: u64,
     /// Flows re-solved, summed over those solves.
     pub(crate) flows_resolved: u64,
+    /// Links popped from the bottleneck heap: one per bottleneck step.
+    pub(crate) heap_pops: u64,
 }
 
 /// Heap key of a fair share: its bit pattern with `-0.0` mapped to `+0.0`.
 fn share_key(share: f64) -> u64 {
     (share + 0.0).to_bits()
+}
+
+/// Position of a link that is not in the [`LinkHeap`].
+const ABSENT: usize = usize::MAX;
+
+/// Indexed binary min-heap of links ordered by `(key, link id)`: each link
+/// is in it at most once, and `pos` locates it so a key change sifts it in
+/// place.
+#[derive(Debug, Clone)]
+struct LinkHeap {
+    /// Entries in heap order, each `key << 64 | link`: one integer
+    /// comparison orders by key, then by link id.
+    entries: Vec<u128>,
+    /// Index into `entries` per link, or [`ABSENT`].
+    pos: Vec<usize>,
+}
+
+fn entry(key: u64, l: LinkId) -> u128 {
+    (u128::from(key) << 64) | l as u128
+}
+
+fn entry_link(e: u128) -> LinkId {
+    e as u64 as LinkId
+}
+
+impl LinkHeap {
+    fn new(links: usize) -> Self {
+        Self { entries: Vec::new(), pos: vec![ABSENT; links] }
+    }
+
+    /// Insert link `l` at `key`, or move it there if present.
+    fn set(&mut self, l: LinkId, key: u64) {
+        let e = entry(key, l);
+        let at = self.pos[l];
+        if at == ABSENT {
+            self.entries.push(e);
+            self.sift_up(self.entries.len() - 1, e);
+        } else if e < self.entries[at] {
+            self.sift_up(at, e);
+        } else {
+            self.sift_down(at, e);
+        }
+    }
+
+    /// Take link `l` out of the heap if present.
+    fn remove(&mut self, l: LinkId) {
+        let at = std::mem::replace(&mut self.pos[l], ABSENT);
+        if at == ABSENT {
+            return;
+        }
+        self.entries.swap_remove(at);
+        if let Some(&moved) = self.entries.get(at) {
+            if at > 0 && moved < self.entries[(at - 1) / 2] {
+                self.sift_up(at, moved);
+            } else {
+                self.sift_down(at, moved);
+            }
+        }
+    }
+
+    /// Remove and return the link with the lowest `(key, link id)`.
+    fn pop(&mut self) -> Option<LinkId> {
+        let l = entry_link(*self.entries.first()?);
+        self.remove(l);
+        Some(l)
+    }
+
+    /// Place `e` at or above slot `at`.
+    fn sift_up(&mut self, mut at: usize, e: u128) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            let p = self.entries[parent];
+            if p <= e {
+                break;
+            }
+            self.entries[at] = p;
+            self.pos[entry_link(p)] = at;
+            at = parent;
+        }
+        self.entries[at] = e;
+        self.pos[entry_link(e)] = at;
+    }
+
+    /// Place `e` at or below slot `at`.
+    fn sift_down(&mut self, mut at: usize, e: u128) {
+        let n = self.entries.len();
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n {
+                child += usize::from(self.entries[child + 1] < self.entries[child]);
+            }
+            let c = self.entries[child];
+            if e <= c {
+                break;
+            }
+            self.entries[at] = c;
+            self.pos[entry_link(c)] = at;
+            at = child;
+        }
+        self.entries[at] = e;
+        self.pos[entry_link(e)] = at;
+    }
 }
 
 /// Incremental progressive-filling max-min solver over a fixed link set.
@@ -73,19 +189,26 @@ pub(crate) struct MaxMinSolver {
     rates: Vec<f64>,
     /// Links whose flow set changed since the last solve.
     dirty: Vec<LinkId>,
+    /// Per link: dirty (between solves), touched by a bottleneck step
+    /// (during a fill).
     link_mark: Vec<bool>,
+    /// Per link: reached by a component collected in the current solve.
+    reached: Vec<bool>,
     /// Per-flow scratch: in the component being solved and not yet frozen.
     unfrozen: Vec<bool>,
     remaining: Vec<f64>,
     count: Vec<usize>,
+    /// Every link reached in the current solve, component after component.
     comp_links: Vec<LinkId>,
-    comp_flows: Vec<usize>,
     touched: Vec<LinkId>,
-    heap: BinaryHeap<Reverse<(u64, LinkId)>>,
+    heap: LinkHeap,
     pub(crate) work: SolverWork,
     /// Test-only: re-solve every active flow with the oracle kernel.
     #[cfg(test)]
     global_oracle: bool,
+    /// Test-only: pick each bottleneck by scanning the component's links.
+    #[cfg(test)]
+    scan_bottlenecks: bool,
 }
 
 impl MaxMinSolver {
@@ -101,16 +224,18 @@ impl MaxMinSolver {
             rates: vec![0.0; flows],
             dirty: Vec::new(),
             link_mark: vec![false; n],
+            reached: vec![false; n],
             unfrozen: vec![false; flows],
             remaining: vec![0.0; n],
             count: vec![0; n],
             comp_links: Vec::new(),
-            comp_flows: Vec::new(),
             touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: LinkHeap::new(n),
             work: SolverWork::default(),
             #[cfg(test)]
             global_oracle: false,
+            #[cfg(test)]
+            scan_bottlenecks: false,
         }
     }
 
@@ -120,6 +245,15 @@ impl MaxMinSolver {
     #[cfg(test)]
     pub(crate) fn global_oracle(links: &[Link], flows: usize) -> Self {
         Self { global_oracle: true, ..Self::new(links, flows) }
+    }
+
+    /// A solver that picks every bottleneck as the oracle kernel does, by a
+    /// strict-`<` scan over the component's links, and counts one
+    /// `heap_pops` per pick: its work counts the bottleneck steps without
+    /// the heap.
+    #[cfg(test)]
+    pub(crate) fn scanning(links: &[Link], flows: usize) -> Self {
+        Self { scan_bottlenecks: true, ..Self::new(links, flows) }
     }
 
     #[cfg(test)]
@@ -135,19 +269,27 @@ impl MaxMinSolver {
         for (&f, rate) in active.iter().zip(rates) {
             self.rates[f] = rate;
         }
+        self.work.events += 1;
         self.work.solves += 1;
         self.work.flows_resolved += active.len() as u64;
     }
 
     /// Is flow `f` active?
+    #[cfg(test)]
     pub(crate) fn is_active(&self, f: usize) -> bool {
         self.active[f]
     }
 
     /// Rate (GB/s) of active flow `f` as of the last [`solve`](Self::solve).
     /// A flow with an empty path has rate 0.
+    #[cfg(test)]
     pub(crate) fn rate(&self, f: usize) -> f64 {
         self.rates[f]
+    }
+
+    /// Every flow's [`rate`](Self::rate), indexed by flow.
+    pub(crate) fn rates(&self) -> &[f64] {
+        &self.rates
     }
 
     fn path(&self, f: usize) -> &[LinkId] {
@@ -194,75 +336,108 @@ impl MaxMinSolver {
         }
     }
 
-    /// Bring every active flow's rate up to date by re-solving the
-    /// components that contain a changed link.
+    /// Bring every active flow's rate up to date by re-solving, one at a
+    /// time, the components that contain a changed link.
     pub(crate) fn solve(&mut self) {
         #[cfg(test)]
         if self.global_oracle {
             return self.solve_globally();
         }
+        self.work.events += 1;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &l in &dirty {
+            self.link_mark[l] = false;
+        }
+        self.comp_links.clear();
+        let mut resolved = 0;
+        for &seed in &dirty {
+            if !self.reached[seed] {
+                let (first, flows) = self.collect_component(seed);
+                resolved += flows;
+                self.fill_component(first);
+            }
+        }
+        for &l in &self.comp_links {
+            self.reached[l] = false;
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        if resolved > 0 {
+            self.work.solves += 1;
+            self.work.flows_resolved += resolved;
+        }
+    }
+
+    /// Gather the component of `seed`: its links are appended to
+    /// `comp_links` and marked `reached`, its flows are marked `unfrozen`.
+    /// Returns where its links start in `comp_links` and its flow count.
+    fn collect_component(&mut self, seed: LinkId) -> (usize, u64) {
+        let Self { on_link, arena, span, reached, unfrozen, comp_links, .. } = self;
+        let first = comp_links.len();
+        reached[seed] = true;
+        comp_links.push(seed);
+        let mut flows = 0;
+        let mut next = first;
+        while next < comp_links.len() {
+            let l = comp_links[next];
+            next += 1;
+            for &f in &on_link[l] {
+                if !unfrozen[f] {
+                    unfrozen[f] = true;
+                    flows += 1;
+                    for &m in &arena[span[f].0..span[f].1] {
+                        if !reached[m] {
+                            reached[m] = true;
+                            comp_links.push(m);
+                        }
+                    }
+                }
+            }
+        }
+        (first, flows)
+    }
+
+    /// Progressive filling over the component whose links are
+    /// `comp_links[first..]`: saturate the lowest-share link and freeze its
+    /// flows, until every flow is frozen.
+    fn fill_component(&mut self, first: usize) {
         let Self {
             caps,
             on_link,
             arena,
             span,
             rates,
-            dirty,
             link_mark,
             unfrozen,
             remaining,
             count,
             comp_links,
-            comp_flows,
             touched,
             heap,
             work,
+            #[cfg(test)]
+            scan_bottlenecks,
             ..
         } = self;
-        // Collect the dirty links' components. `link_mark` already flags
-        // the dirty links; it now marks every link reached.
-        comp_links.clear();
-        comp_flows.clear();
-        while let Some(l) = dirty.pop() {
-            comp_links.push(l);
-            for &f in &on_link[l] {
-                if !unfrozen[f] {
-                    unfrozen[f] = true;
-                    comp_flows.push(f);
-                    for &m in &arena[span[f].0..span[f].1] {
-                        if !link_mark[m] {
-                            link_mark[m] = true;
-                            dirty.push(m);
-                        }
-                    }
-                }
-            }
-        }
-        if !comp_flows.is_empty() {
-            work.solves += 1;
-            work.flows_resolved += comp_flows.len() as u64;
-        }
-        heap.clear();
-        for &l in comp_links.iter() {
-            link_mark[l] = false;
+        for &l in &comp_links[first..] {
             remaining[l] = caps[l];
             count[l] = on_link[l].len();
             if count[l] > 0 {
-                heap.push(Reverse((share_key(remaining[l] / count[l] as f64), l)));
+                heap.set(l, share_key(remaining[l] / count[l] as f64));
             }
         }
-        // Progressive filling: saturate the lowest-share link and freeze
-        // its flows. Stale heap entries (share changed since the push, or
-        // link already saturated) are skipped.
-        while let Some(Reverse((key, bl))) = heap.pop() {
-            let c = count[bl];
-            if c == 0 {
-                continue;
-            }
-            let fair = remaining[bl] / c as f64;
-            if share_key(fair) != key {
-                continue;
-            }
+        loop {
+            #[cfg(test)]
+            let next = if *scan_bottlenecks {
+                scan_bottleneck(&comp_links[first..], remaining, count)
+            } else {
+                heap.pop()
+            };
+            #[cfg(not(test))]
+            let next = heap.pop();
+            let Some(bl) = next else { break };
+            work.heap_pops += 1;
+            let fair = remaining[bl] / count[bl] as f64;
             for &f in &on_link[bl] {
                 if unfrozen[f] {
                     rates[f] = fair;
@@ -280,11 +455,29 @@ impl MaxMinSolver {
             for l in touched.drain(..) {
                 link_mark[l] = false;
                 if count[l] > 0 {
-                    heap.push(Reverse((share_key(remaining[l] / count[l] as f64), l)));
+                    heap.set(l, share_key(remaining[l] / count[l] as f64));
+                } else {
+                    heap.remove(l);
                 }
             }
         }
     }
+}
+
+/// The lowest-share link among `links` with unfrozen flows, by the oracle
+/// kernel's strict-`<` scan (ties to the first, i.e. lowest, link id).
+#[cfg(test)]
+fn scan_bottleneck(links: &[LinkId], remaining: &[f64], count: &[usize]) -> Option<LinkId> {
+    let mut best: Option<(LinkId, f64)> = None;
+    for &l in links {
+        if count[l] > 0 {
+            let fair = remaining[l] / count[l] as f64;
+            if best.is_none_or(|(bl, bf)| fair < bf || (fair == bf && l < bl)) {
+                best = Some((l, fair));
+            }
+        }
+    }
+    best.map(|(l, _)| l)
 }
 
 /// One-shot max-min rates for flows following `paths` over `links`.

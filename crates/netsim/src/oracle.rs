@@ -275,6 +275,40 @@ mod tests {
             }
         }
 
+        /// The heap solver and one that finds each bottleneck by scanning
+        /// the component's links, driven in lockstep through random
+        /// activations and stops, do the same work: one heap pop per
+        /// bottleneck step, and the same rates.
+        #[test]
+        fn heap_pops_once_per_bottleneck_step(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (links, groups) = random_links(&mut rng, 0.15);
+            let n = rng.gen_range(0..=32);
+            let paths: Vec<Vec<LinkId>> =
+                (0..n).map(|_| random_path(&mut rng, &groups, 4)).collect();
+            let mut heap = MaxMinSolver::new(&links, n);
+            let mut scan = MaxMinSolver::scanning(&links, n);
+            for _ in 0..12 {
+                for (f, path) in paths.iter().enumerate() {
+                    match (heap.is_active(f), rng.gen_bool(0.3)) {
+                        (false, true) => {
+                            heap.activate(f, path);
+                            scan.activate(f, path);
+                        }
+                        (true, true) => {
+                            heap.deactivate(f);
+                            scan.deactivate(f);
+                        }
+                        _ => {}
+                    }
+                }
+                heap.solve();
+                scan.solve();
+                prop_assert_eq!(heap.work, scan.work);
+                prop_assert_eq!(bits(heap.rates()), bits(scan.rates()));
+            }
+        }
+
         /// `FlowSim::run` matches the global re-solve loop on every finish
         /// time.
         #[test]
@@ -394,26 +428,26 @@ mod tests {
         }
         let (report, work) = sim.run_impl();
         assert_eq!(report.finish_us, vec![20.0, 30.0, 270.0, 270.0, 270.0]);
-        assert_eq!(work, SolverWork { solves: 2, flows_resolved: 6 });
+        assert_eq!(work, SolverWork { events: 3, solves: 2, flows_resolved: 6, heap_pops: 3 });
     }
 
-    /// Pins the solver's work on the 4-node Figure 7 dispatch round (seed
-    /// 7): a revert to global re-solves, or a scope that grows, fails here
-    /// exactly rather than on timing.
-    #[test]
-    fn deepep_round_resolve_work_is_pinned() {
+    /// The flows of one Figure 7 DeepEP round at `nodes` nodes (seed 7), as
+    /// `collectives::deepep::run_round` issues them, with the fabric's
+    /// links: one flow per plane for each node pair with IB copies, one per
+    /// GPU pair with NVLink copies.
+    fn fig7_round(nodes: usize, copy_bytes: impl Fn(f64) -> f64) -> (Vec<Link>, Vec<OracleFlow>) {
         use dsv3_collectives::deepep::{generate_traffic, EpConfig};
         use dsv3_collectives::{Cluster, ClusterConfig, FabricKind};
 
-        let cluster = Cluster::new(ClusterConfig::h800(4, FabricKind::MultiPlane));
+        let cluster = Cluster::new(ClusterConfig::h800(nodes, FabricKind::MultiPlane));
         let ep = EpConfig { tokens_per_gpu: 1024, seed: 7, ..EpConfig::deepseek_v3() };
         let traffic = generate_traffic(&cluster, &ep);
-        let (nodes, locals) = (cluster.cfg.nodes, cluster.cfg.gpus_per_node);
+        let locals = cluster.cfg.gpus_per_node;
         let fabric = cluster.sim();
         let links: Vec<Link> =
             (0..fabric.links()).map(|l| Link { capacity_gbps: fabric.capacity(l) }).collect();
         let mut flows = Vec::new();
-        let bytes_per_copy = ep.hidden as f64;
+        let bytes_per_copy = copy_bytes(ep.hidden as f64);
         for a in 0..nodes {
             for b in 0..nodes {
                 let copies = traffic.ib_copies[a][b];
@@ -439,17 +473,54 @@ mod tests {
                 }
             }
         }
+        (links, flows)
+    }
+
+    /// Pins the solver's work on the 4-node Figure 7 dispatch round (seed
+    /// 7): a revert to global re-solves, a scope that grows, or a heap that
+    /// pops more than once per bottleneck step fails here exactly rather
+    /// than on timing.
+    #[test]
+    fn deepep_round_resolve_work_is_pinned() {
+        let (links, flows) = fig7_round(4, |hidden| hidden);
         assert_eq!(flows.len(), 320);
         let (report, work) = flow_sim(&links, &flows).run_impl();
         assert_eq!(bits(&report.finish_us), bits(&run_global(&links, &flows).finish_us));
-        assert_eq!(work, SolverWork { solves: 192, flows_resolved: 5_953 });
-        // The same round with a global re-solve at every event.
+        assert_eq!(
+            work,
+            SolverWork { events: 202, solves: 192, flows_resolved: 5_953, heap_pops: 1_701 }
+        );
         let mut chaos = ChaosSim::new(links.clone());
         for f in &flows {
             chaos.add_flow(vec![f.path.clone()], f.bytes, f.start_us, f.latency_us);
         }
-        let oracle = MaxMinSolver::global_oracle(&links, flows.len());
-        let (_, global) = chaos.simulate(&ChaosConfig::default(), oracle);
-        assert_eq!(global, SolverWork { solves: 202, flows_resolved: 40_861 });
+        let cfg = ChaosConfig { policy: ReroutePolicy::Stall, ..ChaosConfig::default() };
+        let n = flows.len();
+        // Bottleneck steps counted by scanning each component's links: the
+        // heap pops exactly once per step, with no stale entries.
+        let (_, steps) = chaos.simulate(&cfg, MaxMinSolver::scanning(&links, n));
+        assert_eq!(steps, work);
+        // The same round with a global re-solve at every event.
+        let (_, global) = chaos.simulate(&cfg, MaxMinSolver::global_oracle(&links, n));
+        assert_eq!(
+            global,
+            SolverWork { events: 202, solves: 202, flows_resolved: 40_861, heap_pops: 0 }
+        );
+    }
+
+    /// The seed-7 16-node Figure 7 dispatch and combine rounds (2,816 flows
+    /// each) finish every flow at the bit-identical instant under the one
+    /// event loop and under the global re-solve loop. Slow unoptimised:
+    /// `cargo test --release -p dsv3-netsim -- --ignored`.
+    #[test]
+    #[ignore = "release-only: a global re-solve of 2,816 flows at every event"]
+    fn deepep_16_node_rounds_match_global_resolve() {
+        for scale in [1.0, 2.0] {
+            let (links, flows) = fig7_round(16, |hidden| scale * hidden);
+            assert_eq!(flows.len(), 2_816);
+            let got = flow_sim(&links, &flows).run();
+            let want = run_global(&links, &flows);
+            assert_eq!(bits(&got.finish_us), bits(&want.finish_us), "copy bytes x{scale}");
+        }
     }
 }

@@ -93,6 +93,11 @@ cargo build --release --offline --examples
 echo "==> full workspace tests"
 cargo test -q --workspace --offline
 
+echo "==> netsim differential at Figure 7 scale: 16-node DeepEP rounds vs the global re-solve, by to_bits"
+# #[ignore]d in the plain run: a global re-solve at every event is too slow
+# unoptimised.
+cargo test -q --release --offline -p dsv3-netsim -- --ignored
+
 # Every wall-clock gate reports, even after one fails; CI fails at the
 # end, naming each failed gate. Besides bench_gate.sh's 25% regression
 # bound, watch asserts its disabled recorder within 1.1x of the plain
