@@ -299,10 +299,11 @@ pub fn scan(root: &Path) -> io::Result<Report> {
 }
 
 /// Remove from `report` every diagnostic whose rendered line appears in
-/// `baseline` (one rendered diagnostic per line, as produced by
-/// `--write-baseline`). Returns how many were suppressed. Unmatched
-/// baseline lines are ignored — a shrinking baseline is progress, not
-/// an error.
+/// `baseline`. A baseline is finding lines as `dsv3 lint` prints them, in
+/// the same [`Diagnostic::render`](diag::Diagnostic::render) format, one per line (as
+/// [`render_baseline`] writes them). Returns how many were suppressed.
+/// Unmatched baseline lines are ignored — a shrinking baseline is
+/// progress, not an error.
 pub fn apply_baseline(report: &mut Report, baseline: &str) -> usize {
     let lines: std::collections::BTreeSet<&str> =
         baseline.lines().map(str::trim_end).filter(|l| !l.is_empty()).collect();

@@ -10,7 +10,11 @@
 //!
 //! These simulators schedule individual chunks under real dependency
 //! constraints, complementing the closed-form bubbles in
-//! [`crate::schedule`].
+//! [`crate::schedule`]. Both loops schedule on one per-rank core — a
+//! clock, a busy-time sum and a deferred-W queue, which runs a chunk,
+//! retires the deferred W chunks that fit before a dependency, and drains
+//! the rest at the end of the step. Classic 1F1B is the ZB1P loop with W
+//! folded into B.
 
 use crate::schedule::{sort_events, ChunkEvent, ChunkKind, ChunkTimes, PipelineOutcome};
 use serde::{Deserialize, Serialize};
@@ -46,6 +50,70 @@ pub fn stage_of_global(stages: usize, rank: usize, g: usize, micro: usize) -> us
     }
 }
 
+/// One rank's clock (`free`), busy time and deferred weight-gradient queue
+/// (global microbatch ids in B-completion order): the state both event
+/// loops below schedule on.
+#[derive(Clone, Default)]
+struct Rank {
+    free: f64,
+    busy: f64,
+    pending_w: VecDeque<usize>,
+}
+
+impl Rank {
+    /// Runs chunk `kind` of `micro` for `dur` from the later of `dep` and
+    /// the clock, deferring its W if it is a backward; returns its start
+    /// and end.
+    fn run(
+        &mut self,
+        rank: usize,
+        micro: usize,
+        kind: ChunkKind,
+        dep: f64,
+        dur: f64,
+        events: &mut Vec<ChunkEvent>,
+    ) -> (f64, f64) {
+        let start = dep.max(self.free);
+        self.free = start + dur;
+        self.busy += dur;
+        events.push(ChunkEvent { rank, micro, kind, start, end: self.free });
+        if kind == ChunkKind::Backward {
+            self.pending_w.push_back(micro);
+        }
+        (start, self.free)
+    }
+
+    /// Retires deferred W chunks back to back from the clock, oldest first,
+    /// while `go(backlog, end of the next W)` holds.
+    fn retire(
+        &mut self,
+        rank: usize,
+        w: f64,
+        events: &mut Vec<ChunkEvent>,
+        go: impl Fn(usize, f64) -> bool,
+    ) {
+        while let Some(&micro) = self.pending_w.front() {
+            if !go(self.pending_w.len(), self.free + w) {
+                break;
+            }
+            self.pending_w.pop_front();
+            let (start, end) = (self.free, self.free + w);
+            events.push(ChunkEvent { rank, micro, kind: ChunkKind::WeightGrad, start, end });
+            self.free = end;
+            self.busy += w;
+        }
+    }
+}
+
+/// The step's outcome over `ranks`, and its events sorted by start time.
+fn finish(ranks: &[Rank], mut events: Vec<ChunkEvent>) -> (PipelineOutcome, Vec<ChunkEvent>) {
+    let total_time = ranks.iter().map(|r| r.free).fold(0.0f64, f64::max);
+    let stage_busy: Vec<f64> = ranks.iter().map(|r| r.busy).collect();
+    let min_busy = stage_busy.iter().copied().fold(f64::INFINITY, f64::min);
+    sort_events(&mut events);
+    (PipelineOutcome { total_time, bubble_time: total_time - min_busy, stage_busy }, events)
+}
+
 /// Event-driven ZB1P: 1F1B order for F and B, with decoupled W chunks
 /// filling idle time (at most one W deferred per B, drained at the end).
 ///
@@ -54,67 +122,62 @@ pub fn stage_of_global(stages: usize, rank: usize, g: usize, micro: usize) -> us
 /// Panics on a degenerate pipeline or invalid chunk times.
 #[must_use]
 pub fn zb1p(stages: usize, micro: usize, times: ChunkTimes) -> PipelineOutcome {
+    zb1p_events(stages, micro, times).0
+}
+
+/// [`zb1p`] with every scheduled chunk, sorted by start time. Each stage
+/// keeps the 1F1B discipline — a warmup of `stages − s` forwards, then
+/// strictly alternating B and F — and before each chunk retires the
+/// deferred W chunks that fit before its dependency. Classic 1F1B is this
+/// loop with W folded into B
+/// ([`one_f_one_b_events`](crate::schedule::one_f_one_b_events)).
+pub(crate) fn zb1p_events(
+    stages: usize,
+    micro: usize,
+    times: ChunkTimes,
+) -> (PipelineOutcome, Vec<ChunkEvent>) {
     assert!(stages > 0 && micro > 0, "degenerate pipeline");
     assert!(times.is_valid(), "invalid chunk times");
-    let (f, b, w) = (times.f, times.b, times.w);
+    // f_done[s][m] / b_done[s][m] completion times.
     let mut f_done = vec![vec![f64::INFINITY; micro]; stages];
-    let mut b_done = vec![vec![f64::INFINITY; micro]; stages];
-    let mut stage_free = vec![0f64; stages];
-    let mut stage_busy = vec![0f64; stages];
+    let mut b_done = f_done.clone();
     let mut next_f = vec![0usize; stages];
     let mut next_b = vec![0usize; stages];
-    let mut pending_w = vec![0usize; stages];
+    let mut ranks = vec![Rank::default(); stages];
+    let mut events = Vec::with_capacity(3 * stages * micro);
+    // Greedy rounds: every stage runs its next chunks while their
+    // dependencies are met, until all backwards are done.
     loop {
         let mut progressed = false;
         for s in 0..stages {
             loop {
-                let warmup_target = (stages - s).min(micro);
                 let in_flight = next_f[s] - next_b[s];
-                let want_backward = next_b[s] < micro
-                    && (in_flight >= warmup_target || next_f[s] == micro)
-                    && in_flight > 0;
-                if want_backward {
+                let (kind, m, dep) = if next_b[s] < micro
+                    && in_flight > 0
+                    && (in_flight >= (stages - s).min(micro) || next_f[s] == micro)
+                {
+                    // B(s, m) needs F(s, m) and B(s+1, m) below the last stage.
                     let m = next_b[s];
-                    let dep = if s + 1 < stages { b_done[s + 1][m] } else { f_done[s][m] };
-                    let dep = dep.max(f_done[s][m]);
-                    if dep.is_finite() {
-                        // Fill idle time before the dependency with pending W.
-                        let mut start = stage_free[s];
-                        while pending_w[s] > 0 && start + w <= dep {
-                            start += w;
-                            stage_busy[s] += w;
-                            pending_w[s] -= 1;
-                        }
-                        let start = dep.max(start);
-                        b_done[s][m] = start + b;
-                        stage_free[s] = start + b;
-                        stage_busy[s] += b;
-                        pending_w[s] += 1;
-                        next_b[s] += 1;
-                        progressed = true;
-                        continue;
-                    }
-                }
-                if next_f[s] < micro && !want_backward {
+                    let next = if s + 1 < stages { b_done[s + 1][m] } else { f_done[s][m] };
+                    (ChunkKind::Backward, m, next.max(f_done[s][m]))
+                } else if next_f[s] < micro {
                     let m = next_f[s];
-                    let dep = if s == 0 { 0.0 } else { f_done[s - 1][m] };
-                    if dep.is_finite() {
-                        let mut start = stage_free[s];
-                        while pending_w[s] > 0 && start + w <= dep {
-                            start += w;
-                            stage_busy[s] += w;
-                            pending_w[s] -= 1;
-                        }
-                        let start = dep.max(start);
-                        f_done[s][m] = start + f;
-                        stage_free[s] = start + f;
-                        stage_busy[s] += f;
-                        next_f[s] += 1;
-                        progressed = true;
-                        continue;
-                    }
+                    (ChunkKind::Forward, m, if s == 0 { 0.0 } else { f_done[s - 1][m] })
+                } else {
+                    break;
+                };
+                if !dep.is_finite() {
+                    break;
                 }
-                break;
+                let (dur, done, next) = if kind == ChunkKind::Backward {
+                    (times.b, &mut b_done, &mut next_b)
+                } else {
+                    (times.f, &mut f_done, &mut next_f)
+                };
+                ranks[s].retire(s, times.w, &mut events, |_, end| end <= dep);
+                done[s][m] = ranks[s].run(s, m, kind, dep, dur, &mut events).1;
+                next[s] += 1;
+                progressed = true;
             }
         }
         if next_b.iter().all(|&x| x == micro) {
@@ -122,14 +185,18 @@ pub fn zb1p(stages: usize, micro: usize, times: ChunkTimes) -> PipelineOutcome {
         }
         assert!(progressed, "schedule deadlocked");
     }
-    // Drain the remaining W chunks.
-    for s in 0..stages {
-        stage_free[s] += pending_w[s] as f64 * w;
-        stage_busy[s] += pending_w[s] as f64 * w;
+    // Drain the remaining W chunks. The clock advances by the one product
+    // `n·w`, not by `n` additions as in DualPipe: the two round differently.
+    for (s, rank) in ranks.iter_mut().enumerate() {
+        let (free, n) = (rank.free, rank.pending_w.len() as f64);
+        for (k, mw) in rank.pending_w.drain(..).enumerate() {
+            let (start, end) = (free + k as f64 * times.w, free + (k + 1) as f64 * times.w);
+            events.push(ChunkEvent { rank: s, micro: mw, kind: ChunkKind::WeightGrad, start, end });
+        }
+        rank.free += n * times.w;
+        rank.busy += n * times.w;
     }
-    let total_time = stage_free.iter().copied().fold(0.0f64, f64::max);
-    let min_busy = stage_busy.iter().copied().fold(f64::INFINITY, f64::min);
-    PipelineOutcome { total_time, bubble_time: total_time - min_busy, stage_busy }
+    finish(&ranks, events)
 }
 
 /// Event-driven DualPipe: bidirectional microbatch streams with F&B
@@ -149,6 +216,11 @@ pub fn zb1p(stages: usize, micro: usize, times: ChunkTimes) -> PipelineOutcome {
 pub fn dualpipe(stages: usize, micro: usize, times: ChunkTimes) -> PipelineOutcome {
     dualpipe_events(stages, micro, times, false).0
 }
+
+/// Largest deferred-W backlog a throttled rank tolerates before it must
+/// retire one (zero-bubble schedules keep this O(1): each B's
+/// weight-gradient operands stay live until its W runs).
+pub const W_BACKLOG_CAP: usize = 2;
 
 /// [`dualpipe`], additionally returning every scheduled chunk as a
 /// [`ChunkEvent`] (sorted by start time).
@@ -175,11 +247,6 @@ pub fn dualpipe(stages: usize, micro: usize, times: ChunkTimes) -> PipelineOutco
 ///
 /// Panics if `micro` is odd or smaller than `2 × stages`, or times are
 /// invalid.
-/// Largest deferred-W backlog a throttled rank tolerates before it must
-/// retire one (zero-bubble schedules keep this O(1): each B's
-/// weight-gradient operands stay live until its W runs).
-pub const W_BACKLOG_CAP: usize = 2;
-
 #[must_use]
 pub fn dualpipe_events(
     stages: usize,
@@ -196,23 +263,17 @@ pub fn dualpipe_events(
     let (f, b, w) = (times.f, times.b, times.w);
     let half = micro / 2;
     let dirs = [Direction::Down, Direction::Up];
-    // done[dir][stage][m]
+    // done[dir][rank][m]
     let inf = f64::INFINITY;
     let mut f_done = [vec![vec![inf; half]; stages], vec![vec![inf; half]; stages]];
-    let mut b_done = [vec![vec![inf; half]; stages], vec![vec![inf; half]; stages]];
-    let mut rank_free = vec![0f64; stages];
-    let mut rank_busy = vec![0f64; stages];
-    // Deferred weight-gradient work per rank: global microbatch ids in
-    // B-completion order.
-    let mut pending_w: Vec<VecDeque<usize>> = vec![VecDeque::new(); stages];
-    let mut events: Vec<ChunkEvent> = Vec::with_capacity(3 * stages * micro);
-    // Per (dir, rank): the stage this rank runs for that direction, and
-    // progress counters.
+    let mut b_done = f_done.clone();
+    // Per (dir, rank) progress counters.
     let mut next_f = [vec![0usize; stages], vec![0usize; stages]];
-    let mut next_b = [vec![0usize; stages], vec![0usize; stages]];
+    let mut next_b = next_f.clone();
+    let mut ranks = vec![Rank::default(); stages];
+    let mut events: Vec<ChunkEvent> = Vec::with_capacity(3 * stages * micro);
     // Global microbatch id of direction-local microbatch `m` of stream `d`.
     let global_m = |d: usize, m: usize| if d == 0 { m } else { half + m };
-
     // Ready time of the next F (resp. B) of direction d on rank r, or None.
     let f_ready = |d: usize,
                    r: usize,
@@ -270,20 +331,8 @@ pub fn dualpipe_events(
                 // Memory discipline: retire a deferred W before its backlog
                 // (and the per-micro operands it retains) can grow past the
                 // zero-bubble bound.
-                if throttle && pending_w[r].len() >= W_BACKLOG_CAP {
-                    let mw = pending_w[r].pop_front().unwrap_or_default();
-                    let start = rank_free[r];
-                    events.push(ChunkEvent {
-                        rank: r,
-                        micro: mw,
-                        kind: ChunkKind::WeightGrad,
-                        start,
-                        end: start + w,
-                    });
-                    rank_free[r] = start + w;
-                    rank_busy[r] += w;
-                    progressed = true;
-                    continue;
+                if throttle {
+                    ranks[r].retire(r, w, &mut events, |n, _| n >= W_BACKLOG_CAP);
                 }
                 // Gather candidate F and B chunks from both directions.
                 let mut best_f: Option<(usize, f64)> = None;
@@ -302,85 +351,21 @@ pub fn dualpipe_events(
                 }
                 // Backward-pressure discipline: once any backward is ready,
                 // pair it (or run it alone); otherwise run a forward.
-                let start_floor = rank_free[r];
                 match (best_f, best_b) {
                     (Some((df, tf)), Some((db, tb))) => {
-                        // Co-execute F and B: start when both deps and the
-                        // rank are ready; duration max(f, b).
-                        let start = start_floor.max(tf).max(tb);
-                        let dur = f.max(b);
-                        let end = start + dur;
-                        let mf = next_f[df][r];
-                        f_done[df][r][mf] = start + f.min(dur);
-                        events.push(ChunkEvent {
-                            rank: r,
-                            micro: global_m(df, mf),
-                            kind: ChunkKind::Forward,
-                            start,
-                            end: start + f.min(dur),
-                        });
-                        next_f[df][r] += 1;
-                        let mb = next_b[db][r];
+                        // Co-execute F and B for max(f, b) from when both
+                        // deps and the rank are ready. The F event is pushed
+                        // here, so busy time gains max(f, b) once.
+                        let (mf, mb) = (next_f[df][r], next_b[db][r]);
+                        let (start, end) = ranks[r].run(
+                            r,
+                            global_m(db, mb),
+                            ChunkKind::Backward,
+                            tf.max(tb),
+                            f.max(b),
+                            &mut events,
+                        );
                         b_done[db][r][mb] = end;
-                        events.push(ChunkEvent {
-                            rank: r,
-                            micro: global_m(db, mb),
-                            kind: ChunkKind::Backward,
-                            start,
-                            end,
-                        });
-                        next_b[db][r] += 1;
-                        pending_w[r].push_back(global_m(db, mb));
-                        rank_free[r] = end;
-                        rank_busy[r] += dur;
-                        progressed = true;
-                    }
-                    (None, Some((db, tb))) => {
-                        let mut start = start_floor;
-                        while !pending_w[r].is_empty() && start + w <= tb {
-                            let mw = pending_w[r].pop_front().unwrap_or_default();
-                            events.push(ChunkEvent {
-                                rank: r,
-                                micro: mw,
-                                kind: ChunkKind::WeightGrad,
-                                start,
-                                end: start + w,
-                            });
-                            start += w;
-                            rank_busy[r] += w;
-                        }
-                        let start = start.max(tb);
-                        let mb = next_b[db][r];
-                        b_done[db][r][mb] = start + b;
-                        events.push(ChunkEvent {
-                            rank: r,
-                            micro: global_m(db, mb),
-                            kind: ChunkKind::Backward,
-                            start,
-                            end: start + b,
-                        });
-                        next_b[db][r] += 1;
-                        pending_w[r].push_back(global_m(db, mb));
-                        rank_free[r] = start + b;
-                        rank_busy[r] += b;
-                        progressed = true;
-                    }
-                    (Some((df, tf)), None) => {
-                        let mut start = start_floor;
-                        while !pending_w[r].is_empty() && start + w <= tf {
-                            let mw = pending_w[r].pop_front().unwrap_or_default();
-                            events.push(ChunkEvent {
-                                rank: r,
-                                micro: mw,
-                                kind: ChunkKind::WeightGrad,
-                                start,
-                                end: start + w,
-                            });
-                            start += w;
-                            rank_busy[r] += w;
-                        }
-                        let start = start.max(tf);
-                        let mf = next_f[df][r];
                         f_done[df][r][mf] = start + f;
                         events.push(ChunkEvent {
                             rank: r,
@@ -390,12 +375,25 @@ pub fn dualpipe_events(
                             end: start + f,
                         });
                         next_f[df][r] += 1;
-                        rank_free[r] = start + f;
-                        rank_busy[r] += f;
-                        progressed = true;
+                        next_b[db][r] += 1;
+                    }
+                    (Some((d, t)), None) | (None, Some((d, t))) => {
+                        // One chunk alone, after the deferred W that fit
+                        // before its dependency.
+                        let (kind, dur, done, next) = if best_b.is_some() {
+                            (ChunkKind::Backward, b, &mut b_done, &mut next_b)
+                        } else {
+                            (ChunkKind::Forward, f, &mut f_done, &mut next_f)
+                        };
+                        let m = next[d][r];
+                        ranks[r].retire(r, w, &mut events, |_, end| end <= t);
+                        done[d][r][m] =
+                            ranks[r].run(r, global_m(d, m), kind, t, dur, &mut events).1;
+                        next[d][r] += 1;
                     }
                     (None, None) => break,
                 }
+                progressed = true;
             }
         }
         let done = (0..2).all(|d| (0..stages).all(|r| next_b[d][r] == half));
@@ -405,32 +403,16 @@ pub fn dualpipe_events(
         assert!(progressed, "schedule deadlocked");
     }
     // Drain the remaining W chunks back-to-back on each rank.
-    for r in 0..stages {
-        while let Some(mw) = pending_w[r].pop_front() {
-            events.push(ChunkEvent {
-                rank: r,
-                micro: mw,
-                kind: ChunkKind::WeightGrad,
-                start: rank_free[r],
-                end: rank_free[r] + w,
-            });
-            rank_free[r] += w;
-            rank_busy[r] += w;
-        }
+    for (r, rank) in ranks.iter_mut().enumerate() {
+        rank.retire(r, w, &mut events, |_, _| true);
     }
-    let total_time = rank_free.iter().copied().fold(0.0f64, f64::max);
-    let min_busy = rank_busy.iter().copied().fold(f64::INFINITY, f64::min);
-    sort_events(&mut events);
-    (
-        PipelineOutcome { total_time, bubble_time: total_time - min_busy, stage_busy: rank_busy },
-        events,
-    )
+    finish(&ranks, events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{bubble_1f1b, bubble_zb1p, one_f_one_b};
+    use crate::schedule::{bubble_1f1b, bubble_zb1p, one_f_one_b, one_f_one_b_events};
 
     const T: ChunkTimes = ChunkTimes { f: 1.0, b: 1.0, w: 0.5 };
 
@@ -487,9 +469,11 @@ mod tests {
             );
             assert!(dp.total_time < classic.total_time);
             if s == 16 {
-                let steps =
-                    format!("{:.1} {:.1} {:.1}", dp.total_time, zb.total_time, classic.total_time);
-                assert_eq!(steps, "247.6 294.8 314.6");
+                // Bit for bit: at one decimal ZB1P's exact 294.75 and
+                // 1F1B's 314.55 sit on rounding ties a one-ulp change flips.
+                let steps = [dp.total_time, zb.total_time, classic.total_time];
+                let pinned = [247.600_000_000_001_5, 294.75, 314.550_000_000_000_3];
+                assert_eq!(steps.map(f64::to_bits), pinned.map(f64::to_bits));
             }
         }
     }
@@ -628,6 +612,64 @@ mod tests {
             o.total_time,
             greedy.total_time
         );
+    }
+
+    /// FNV-1a over the `to_bits` of every outcome and event of 1F1B, ZB1P
+    /// and DualPipe (throttled and not) on stages 1–9 and micro 1–39
+    /// (DualPipe: even micro ≥ 2·stages), for six chunk shapes including
+    /// `w = 0`, `w > f` and non-dyadic times. Pinned from the three
+    /// separate event loops that preceded the shared rank core, so any
+    /// change to a chunk's placement or to the float order of a clock or
+    /// busy sum fails here.
+    #[test]
+    fn schedules_match_pinned_digest() {
+        fn mix(h: &mut u64, x: u64) {
+            for byte in x.to_le_bytes() {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn outcome(h: &mut u64, o: &PipelineOutcome) {
+            for x in [o.total_time, o.bubble_time].iter().chain(&o.stage_busy) {
+                mix(h, x.to_bits());
+            }
+        }
+        fn events(h: &mut u64, ev: &[ChunkEvent]) {
+            mix(h, ev.len() as u64);
+            for e in ev {
+                for x in [e.rank as u64, e.micro as u64, e.kind as u64] {
+                    mix(h, x);
+                }
+                mix(h, e.start.to_bits());
+                mix(h, e.end.to_bits());
+            }
+        }
+        let shapes = [
+            ChunkTimes { f: 1.0, b: 2.0, w: 0.5 },
+            ChunkTimes { f: 1.0, b: 1.0, w: 0.33 },
+            ChunkTimes { f: 0.1, b: 0.3, w: 0.0 },
+            ChunkTimes { f: 0.7, b: 1.3, w: 0.2 },
+            ChunkTimes { f: 1.1, b: 0.9, w: 0.45 },
+            ChunkTimes { f: 0.3, b: 0.2, w: 0.7 },
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for t in shapes {
+            for s in 1..=9 {
+                for m in 1..=39 {
+                    let (o, ev) = one_f_one_b_events(s, m, t);
+                    outcome(&mut h, &o);
+                    events(&mut h, &ev);
+                    outcome(&mut h, &zb1p(s, m, t));
+                    if m % 2 == 0 && m >= 2 * s {
+                        for throttle in [false, true] {
+                            let (o, ev) = dualpipe_events(s, m, t, throttle);
+                            outcome(&mut h, &o);
+                            events(&mut h, &ev);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xaec0_ab04_c8f1_d1c2);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! parallelism. Table 4 reports the per-step timing decomposition (1F,
 //! 1F1B, bubble, …) and the resulting MFU. This crate implements:
 //!
-//! * [`schedule`] — an event-driven 1F1B pipeline simulator plus the
-//!   analytic bubble formulas for 1F1B, ZB1P and DualPipe.
+//! * [`schedule`] — the chunk and event types, event-driven 1F1B (ZB1P with
+//!   W folded into B) and the analytic bubble formulas for 1F1B, ZB1P and
+//!   DualPipe.
+//! * [`dualpipe`] — the event-driven ZB1P and DualPipe simulators, both
+//!   built on one per-rank scheduler core (clock, busy time, deferred-W
+//!   queue).
 //! * [`mfu`] — causal / non-causal TFLOPS and MFU accounting (FlashAttention
 //!   vs Megatron conventions).
 //! * [`trainstep`] — the Table 4 harness: compose chunk times, a schedule

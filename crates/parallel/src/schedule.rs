@@ -1,4 +1,6 @@
-//! Pipeline-parallel schedules: event-driven 1F1B and analytic bubbles.
+//! Pipeline-parallel schedules: chunk and event types, event-driven 1F1B
+//! (the ZB1P loop of [`crate::dualpipe`] with W folded into B) and
+//! analytic bubbles.
 //!
 //! Chunk granularity: each microbatch contributes one forward (`f`), one
 //! input-backward (`b`) and one weight-backward (`w`) chunk per stage.
@@ -93,7 +95,7 @@ pub fn sort_events(events: &mut [ChunkEvent]) {
 
 /// Event-driven 1F1B schedule: `stages` pipeline stages, `micro`
 /// microbatches. Weight-gradient chunks are folded into the backward pass
-/// (classic 1F1B does not split them).
+/// (classic 1F1B does not split them), which makes it ZB1P with `w = 0`.
 ///
 /// # Panics
 ///
@@ -105,7 +107,9 @@ pub fn one_f_one_b(stages: usize, micro: usize, times: ChunkTimes) -> PipelineOu
 
 /// [`one_f_one_b`], additionally returning every scheduled chunk as a
 /// [`ChunkEvent`] (sorted by start time). The backward events carry the
-/// combined `b + w` duration because classic 1F1B folds W into B.
+/// combined `b + w` duration because classic 1F1B folds W into B: this is
+/// the ZB1P loop on `ChunkTimes { f, b: b + w, w: 0 }`, without its
+/// zero-length W chunks.
 ///
 /// # Panics
 ///
@@ -116,90 +120,11 @@ pub fn one_f_one_b_events(
     micro: usize,
     times: ChunkTimes,
 ) -> (PipelineOutcome, Vec<ChunkEvent>) {
-    assert!(stages > 0 && micro > 0, "degenerate pipeline");
     assert!(times.is_valid(), "invalid chunk times");
-    let f = times.f;
-    let bw = times.b + times.w; // classic 1F1B runs B and W together
-                                // f_done[s][m] / b_done[s][m] completion times.
-    let mut f_done = vec![vec![f64::INFINITY; micro]; stages];
-    let mut b_done = vec![vec![f64::INFINITY; micro]; stages];
-    let mut stage_free = vec![0f64; stages];
-    let mut stage_busy = vec![0f64; stages];
-    // Greedy per-stage simulation in global time order: each stage keeps
-    // the 1F1B discipline — warmup of (stages - s) forwards, then strictly
-    // alternating B, F.
-    // We iterate rounds: during each round every stage tries to run its next
-    // action if dependencies are met; repeat until all backwards are done.
-    let mut next_f = vec![0usize; stages]; // next microbatch to forward
-    let mut next_b = vec![0usize; stages]; // next microbatch to backward
-    let mut events = Vec::with_capacity(2 * stages * micro);
-    loop {
-        let mut progressed = false;
-        for s in 0..stages {
-            loop {
-                let warmup_target = (stages - s).min(micro);
-                let in_flight = next_f[s] - next_b[s];
-                // Decide the next action under 1F1B.
-                let want_backward = next_b[s] < micro
-                    && (in_flight >= warmup_target || next_f[s] == micro)
-                    && in_flight > 0;
-                if want_backward {
-                    let m = next_b[s];
-                    // B(s, m) needs B(s+1, m) (or nothing for the last
-                    // stage) and F(s, m).
-                    let dep = if s + 1 < stages { b_done[s + 1][m] } else { f_done[s][m] };
-                    let dep = dep.max(f_done[s][m]);
-                    if dep.is_finite() {
-                        let start = dep.max(stage_free[s]);
-                        let end = start + bw;
-                        b_done[s][m] = end;
-                        stage_free[s] = end;
-                        stage_busy[s] += bw;
-                        events.push(ChunkEvent {
-                            rank: s,
-                            micro: m,
-                            kind: ChunkKind::Backward,
-                            start,
-                            end,
-                        });
-                        next_b[s] += 1;
-                        progressed = true;
-                        continue;
-                    }
-                }
-                if next_f[s] < micro && !want_backward {
-                    let m = next_f[s];
-                    let dep = if s == 0 { 0.0 } else { f_done[s - 1][m] };
-                    if dep.is_finite() {
-                        let start = dep.max(stage_free[s]);
-                        let end = start + f;
-                        f_done[s][m] = end;
-                        stage_free[s] = end;
-                        stage_busy[s] += f;
-                        events.push(ChunkEvent {
-                            rank: s,
-                            micro: m,
-                            kind: ChunkKind::Forward,
-                            start,
-                            end,
-                        });
-                        next_f[s] += 1;
-                        progressed = true;
-                        continue;
-                    }
-                }
-                break;
-            }
-        }
-        if next_b.iter().all(|&b| b == micro) {
-            break;
-        }
-        assert!(progressed, "schedule deadlocked");
-    }
-    let total_time = b_done.iter().flat_map(|v| v.iter()).copied().fold(0.0f64, f64::max);
-    let min_busy = stage_busy.iter().copied().fold(f64::INFINITY, f64::min);
-    sort_events(&mut events);
-    (PipelineOutcome { total_time, bubble_time: total_time - min_busy, stage_busy }, events)
+    let folded = ChunkTimes { f: times.f, b: times.b + times.w, w: 0.0 };
+    let (outcome, mut events) = crate::dualpipe::zb1p_events(stages, micro, folded);
+    events.retain(|e| e.kind != ChunkKind::WeightGrad);
+    (outcome, events)
 }
 
 /// Analytic 1F1B bubble: `(PP − 1) · (F + B)` where B includes W.

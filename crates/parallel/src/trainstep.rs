@@ -96,18 +96,6 @@ pub struct Table4Metrics {
     pub mfu_causal: f64,
 }
 
-/// Compute Table 4 metrics for `cfg`.
-///
-/// ```
-/// use dsv3_parallel::trainstep::{table4, TrainStepConfig};
-///
-/// let m = table4("MPFT", &TrainStepConfig::deepseek_v3(1.0));
-/// assert!((m.mfu_causal - 0.39).abs() < 0.02);
-/// ```
-///
-/// # Panics
-///
-/// Panics on degenerate configs (zero sizes, non-positive efficiency).
 /// Per-microbatch chunk times implied by `cfg`: the per-GPU compute seconds
 /// at kernel efficiency, split by the measured F:B:W shape. This is the raw
 /// material of the Table 4 decomposition, exposed so other simulators (e.g.
@@ -138,6 +126,18 @@ pub fn chunk_times(cfg: &TrainStepConfig) -> ChunkTimes {
     }
 }
 
+/// Compute Table 4 metrics for `cfg`.
+///
+/// ```
+/// use dsv3_parallel::trainstep::{table4, TrainStepConfig};
+///
+/// let m = table4("MPFT", &TrainStepConfig::deepseek_v3(1.0));
+/// assert!((m.mfu_causal - 0.39).abs() < 0.02);
+/// ```
+///
+/// # Panics
+///
+/// Panics on degenerate configs (zero sizes, non-positive efficiency).
 #[must_use]
 pub fn table4(fabric: &str, cfg: &TrainStepConfig) -> Table4Metrics {
     let times = chunk_times(cfg);

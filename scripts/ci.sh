@@ -30,8 +30,9 @@ cargo build --release --offline -p dsv3-core
 ./target/release/dsv3 lint
 
 echo "==> parallel-readiness: every lint:entry fn must be effect-free"
-./target/release/dsv3 lint --readiness
-if ./target/release/dsv3 lint --readiness | grep -q "NOT READY"; then
+readiness="$(./target/release/dsv3 lint --readiness)"
+printf '%s\n' "$readiness"
+if grep -q "NOT READY" <<< "$readiness"; then
   echo "readiness regression: an entry point reaches a forbidden effect" >&2
   exit 1
 fi
